@@ -18,11 +18,10 @@ OOV_LOGPROB = -10.0  # the copy-through option's four translation log-scores
 UNIFORM_REO = math.log(1.0 / 3.0)
 FEATURE_COUNT = 9
 TOL = 1e-6
-
-
-def close(a: float, b: float) -> bool:
-    """Within TOL, relative to the magnitude once that exceeds 1."""
-    return abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
+MAX_PHRASE_LEN = 7  # the program's default phrase length limit
+DISTORTION_LIMIT = 6  # the decoder's default
+MAX_ORDER = 4  # BLEU n-gram order
+DICTIONARY_MIN_COUNT = 10
 
 
 class CheckFailure(AssertionError):
@@ -125,13 +124,13 @@ def read_reordering_table(path: str, sources=None) -> dict[tuple, tuple[float, .
     return table
 
 
-def phrases_of(sentences, max_len: int = 7) -> set[tuple[str, ...]]:
-    """Every phrase of at most max_len words in the sentences."""
+def phrases_of(sentences) -> set[tuple[str, ...]]:
+    """Every phrase of at most MAX_PHRASE_LEN words in the sentences."""
     out = set()
     for sentence in sentences:
         sentence = tuple(sentence)
         for i in range(len(sentence)):
-            for j in range(i + 1, min(i + max_len, len(sentence)) + 1):
+            for j in range(i + 1, min(i + MAX_PHRASE_LEN, len(sentence)) + 1):
                 out.add(sentence[i:j])
     return out
 
@@ -211,14 +210,14 @@ def check_reordering(table) -> None:
             require(abs(total - 1.0) < 1e-9, f"{name} reordering for {key} sums to {total!r}")
 
 
-def consistent_boxes(n: int, m: int, links, max_len: int):
+def consistent_boxes(n: int, m: int, links):
     """Every (source span, target span), inclusive, whose box holds at
     least one link and that no link leaves on either axis, found by
     trying every box."""
     for s1 in range(n):
-        for s2 in range(s1, min(s1 + max_len, n)):
+        for s2 in range(s1, min(s1 + MAX_PHRASE_LEN, n)):
             for t1 in range(m):
-                for t2 in range(t1, min(t1 + max_len, m)):
+                for t2 in range(t1, min(t1 + MAX_PHRASE_LEN, m)):
                     inside = False
                     for i, j in links:
                         src_in = s1 <= i <= s2
@@ -230,9 +229,9 @@ def consistent_boxes(n: int, m: int, links, max_len: int):
                             yield (s1, s2), (t1, t2)
 
 
-def check_extraction(source, target, links, table, max_len: int) -> int:
+def check_extraction(source, target, links, table) -> int:
     found = 0
-    for (s1, s2), (t1, t2) in consistent_boxes(len(source), len(target), links, max_len):
+    for (s1, s2), (t1, t2) in consistent_boxes(len(source), len(target), links):
         src, tgt = source[s1:s2 + 1], target[t1:t2 + 1]
         require(tgt in table.get(src, {}),
                 f"consistent pair {' '.join(src)!r} ||| {' '.join(tgt)!r} missing from the phrase table")
@@ -240,11 +239,12 @@ def check_extraction(source, target, links, table, max_len: int) -> int:
     return found
 
 
-def check_dictionary(rows, corpus_sources, dictionary, min_count: int) -> int:
-    """For every source word seen at least min_count times, the t-table
-    argmax must be a word of its hidden dictionary entry."""
+def check_dictionary(rows, corpus_sources, dictionary) -> int:
+    """For every source word seen at least DICTIONARY_MIN_COUNT times, the
+    t-table argmax must be a word of its hidden dictionary entry."""
     counts = Counter(w for sentence in corpus_sources for w in sentence)
-    frequent = sorted(w for w, c in counts.items() if c >= min_count and w in dictionary)
+    frequent = sorted(w for w, c in counts.items()
+                      if c >= DICTIONARY_MIN_COUNT and w in dictionary)
     for word in frequent:
         row = rows[word]
         best = max(sorted(row), key=lambda t: row[t])
@@ -264,12 +264,13 @@ class Rescorer:
     program's and does not set the run's peak memory.
     """
 
-    def __init__(self, files: dict, distortion_limit: int, sentences):
+    distortion_limit = DISTORTION_LIMIT
+
+    def __init__(self, files: dict, sentences):
         phrases = phrases_of(sentences)
         self.arpa = Arpa(files["lm"])
         self.table = read_phrase_table(files["phrase_table"], phrases)
         self.reordering = read_reordering_table(files["reordering_table"], phrases)
-        self.distortion_limit = distortion_limit
 
     def features(self, source, tokens, derivation) -> tuple[float, ...]:
         source = tuple(source)
@@ -330,13 +331,18 @@ class Rescorer:
                 float(len(derivation)), float(distortion))
 
     def check(self, source, result, weights) -> None:
+        """Features must match within TOL. The score must match within TOL
+        times the sum of its terms' magnitudes, the scale of its rounding:
+        MERT can return weights of order 1e11, which makes terms of 1e12."""
         own = self.features(source, result.tokens, result.derivation)
         require(len(result.features) == FEATURE_COUNT, "result has the wrong number of features")
         for k, (mine, theirs) in enumerate(zip(own, result.features)):
-            require(close(mine, theirs),
+            require(abs(mine - theirs) <= TOL,
                     f"feature {k} of {' '.join(result.tokens)!r}: program {theirs!r}, rescored {mine!r}")
-        score = math.fsum(w * f for w, f in zip(weights, own))
-        require(close(score, result.score),
+        terms = [w * f for w, f in zip(weights, own)]
+        score = math.fsum(terms)
+        scale = max(1.0, math.fsum(abs(t) for t in terms))
+        require(abs(score - result.score) <= TOL * scale,
                 f"score of {' '.join(result.tokens)!r}: program {result.score!r}, rescored {score!r}")
 
 
@@ -345,24 +351,29 @@ def check_nbest_order(results) -> None:
         require(b.score <= a.score + 1e-9, f"n-best score rises down the list: {a.score!r} -> {b.score!r}")
 
 
-def own_bleu(hypotheses, references, max_n: int = 4) -> float:
-    """Corpus BLEU from clipped n-gram counts, one reference per sentence."""
-    matched = [0] * max_n
-    totals = [0] * max_n
+def own_bleu(hypotheses, references, smooth: bool = False) -> float:
+    """Corpus BLEU from clipped n-gram counts, one reference per sentence.
+    smooth adds one to the matches and totals of orders 2 and up, as the
+    pool BLEU that MERT maximizes does."""
+    matched = [0] * MAX_ORDER
+    totals = [0] * MAX_ORDER
     hyp_len = ref_len = 0
     for hyp, ref in zip(hypotheses, references):
         hyp, ref = tuple(hyp), tuple(ref)
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_ORDER + 1):
             hyp_grams = Counter(hyp[i:i + n] for i in range(len(hyp) - n + 1))
             ref_grams = Counter(ref[i:i + n] for i in range(len(ref) - n + 1))
             matched[n - 1] += sum(min(c, ref_grams[g]) for g, c in hyp_grams.items())
             totals[n - 1] += max(0, len(hyp) - n + 1)
+    if smooth:
+        matched = matched[:1] + [m + 1 for m in matched[1:]]
+        totals = totals[:1] + [t + 1 for t in totals[1:]]
     if hyp_len == 0 or any(t == 0 or m == 0 for m, t in zip(matched, totals)):
         return 0.0
     bp = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return bp * math.exp(math.fsum(math.log(m / t) for m, t in zip(matched, totals)) / max_n)
+    return bp * math.exp(math.fsum(math.log(m / t) for m, t in zip(matched, totals)) / MAX_ORDER)
 
 
 def check_bleu(program_bleu: float, hypotheses, references) -> None:
@@ -370,7 +381,42 @@ def check_bleu(program_bleu: float, hypotheses, references) -> None:
     require(abs(own - program_bleu) < 1e-9, f"BLEU: program {program_bleu!r}, recomputed {own!r}")
 
 
-def check_tuning_history(history) -> None:
+def pool_argmax_bleu(pool, references, weights) -> float:
+    """Smoothed BLEU of each dev sentence's highest-scoring pool entry;
+    ties go to the lexicographically smaller translation, MERT's rule."""
+    hypotheses = []
+    for entries in pool:
+        scored = ((-math.fsum(w * f for w, f in zip(weights, features)), target)
+                  for target, features in entries.items())
+        hypotheses.append(min(scored)[1])
+    return own_bleu(hypotheses, references, smooth=True)
+
+
+def check_tuning(history, calls, dev, tuned) -> None:
+    """Rebuild MERT's n-best pool from the lists each iteration decoded
+    (one entry per translation, the first feature vector seen) and
+    recompute each iteration's pool BLEU: before under the weights the
+    iteration decoded with, after under the weights the next one decoded
+    with, or the tuned weights after the last. Both must match the
+    tuner's history, and after may not be below before.
+
+    calls holds (source, weights, n-best list) per n-best call, in order."""
+    size = len(dev)
     require(len(history) >= 1, "tuning recorded no iterations")
-    for k, (before, after) in enumerate(history, start=1):
-        require(after >= before - 1e-12, f"tuning iteration {k}: pool BLEU fell {before!r} -> {after!r}")
+    require(len(calls) == size * len(history),
+            "tuning did not decode every dev sentence once per iteration")
+    references = [target for _, target in dev]
+    pool: list[dict] = [{} for _ in dev]
+    for k, (before, after) in enumerate(history):
+        iteration = calls[k * size:(k + 1) * size]
+        for entries, (source, _), (decoded, _, results) in zip(pool, dev, iteration):
+            require(tuple(decoded) == tuple(source), f"tuning iteration {k + 1} decoded out of order")
+            for result in results:
+                entries.setdefault(tuple(result.tokens), tuple(result.features))
+        start = iteration[0][1]
+        end = calls[(k + 1) * size][1] if k + 1 < len(history) else tuned
+        own = (pool_argmax_bleu(pool, references, start), pool_argmax_bleu(pool, references, end))
+        require(all(abs(a - b) < 1e-9 for a, b in zip(own, (before, after))),
+                f"tuning iteration {k + 1}: history says pool BLEU {before!r} -> {after!r}, "
+                f"the pool gives {own[0]!r} -> {own[1]!r}")
+        require(own[1] >= own[0], f"tuning iteration {k + 1}: pool BLEU fell {own[0]!r} -> {own[1]!r}")

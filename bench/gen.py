@@ -18,24 +18,27 @@ import random
 
 CONSONANTS = "bdfgklmnprstvz"
 VOWELS = "aeiou"
+VOCAB_SIZE = 400
+TWO_WORD_RATE = 0.1  # share of dictionary entries that give two target words
+ZIPF_EXPONENT = 1.0
+SWAP_RATE = 0.15  # chance of swapping a pair of adjacent target chunks
 
 
 class Language:
     """A hidden source vocabulary, its Zipf weights and its dictionary."""
 
-    def __init__(self, seed: int, vocab_size: int = 400, two_word_rate: float = 0.1,
-                 zipf_exponent: float = 1.0):
+    def __init__(self, seed: int):
         rng = random.Random(f"language-{seed}")
-        self.source_words = _words(rng, vocab_size, 2)
-        target_pool = _words(rng, 2 * vocab_size, 3)
+        self.source_words = _words(rng, VOCAB_SIZE, 2)
+        target_pool = _words(rng, 2 * VOCAB_SIZE, 3)
         rng.shuffle(target_pool)
         pool = iter(target_pool)
         self.dictionary: dict[str, tuple[str, ...]] = {}
         for word in self.source_words:
-            width = 2 if rng.random() < two_word_rate else 1
+            width = 2 if rng.random() < TWO_WORD_RATE else 1
             self.dictionary[word] = tuple(next(pool) for _ in range(width))
         self.cumulative = list(itertools.accumulate(
-            1.0 / (rank ** zipf_exponent) for rank in range(1, vocab_size + 1)
+            1.0 / (rank ** ZIPF_EXPONENT) for rank in range(1, VOCAB_SIZE + 1)
         ))
 
     def draw(self, rng: random.Random, length: int) -> list[str]:
@@ -45,11 +48,11 @@ class Language:
             for _ in range(length)
         ]
 
-    def translate(self, rng: random.Random, source: list[str], swap_rate: float) -> list[str]:
+    def translate(self, rng: random.Random, source: list[str]) -> list[str]:
         chunks = [list(self.dictionary[w]) for w in source]
         k = 0
         while k + 1 < len(chunks):
-            if rng.random() < swap_rate:
+            if rng.random() < SWAP_RATE:
                 chunks[k], chunks[k + 1] = chunks[k + 1], chunks[k]
                 k += 2
             else:
@@ -80,14 +83,14 @@ def lengths(rng: random.Random, count: int, low: int, high: int) -> list[int]:
     return out
 
 
-def sentences(language: Language, seed: int, tag: str, count: int, low: int, high: int,
-              swap_rate: float = 0.15) -> list[tuple[list[str], list[str]]]:
+def sentences(language: Language, seed: int, tag: str, count: int, low: int,
+              high: int) -> list[tuple[list[str], list[str]]]:
     """count (source, target) token lists with lengths in [low, high]."""
     rng = random.Random(f"{tag}-{seed}")
     out = []
     for length in lengths(rng, count, low, high):
         source = language.draw(rng, length)
-        out.append((source, language.translate(rng, source, swap_rate)))
+        out.append((source, language.translate(rng, source)))
     return out
 
 

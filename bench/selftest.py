@@ -70,10 +70,11 @@ def end_to_end(work: str) -> None:
 
 
 def corrupted(work: str) -> None:
-    from phraseforge import PhraseBasedTranslator
+    from phraseforge import MertTuner, PhraseBasedTranslator
 
     language = gen.Language(7)
-    gen.write_raw(gen.sentences(language, 7, "train", TINY.train_pairs, 5, 20), work + "/raw")
+    gen.write_raw(gen.sentences(language, 7, "train", TINY.train_pairs, *workloads.TRAIN_RANGE),
+                  work + "/raw")
     probe = Probe(trace=False)
     probe.install()
     try:
@@ -95,7 +96,7 @@ def corrupted(work: str) -> None:
     frequent = max(language.source_words, key=lambda w: sum(s.count(w) for s in sources))
     dictionary[frequent] = ("nothing",)
     rejects("a wrong dictionary argmax", checks.check_dictionary,
-            forward.ttable_.rows(), sources, dictionary, 10)
+            forward.ttable_.rows(), sources, dictionary)
 
     arpa = checks.Arpa(files["lm"])
     lm = probe.translators[0].lm_
@@ -119,14 +120,14 @@ def corrupted(work: str) -> None:
     table = checks.read_phrase_table(files["phrase_table"])
     links = checks.read_links(files["alignments"])
     targets = checks.read_tokens(work + "/corpus/train.tgt")
-    (s1, s2), (t1, t2) = next(checks.consistent_boxes(len(sources[0]), len(targets[0]), links[0], 7))
+    (s1, s2), (t1, t2) = next(checks.consistent_boxes(len(sources[0]), len(targets[0]), links[0]))
     del table[sources[0][s1:s2 + 1]][targets[0][t1:t2 + 1]]
     rejects("a phrase table missing a consistent pair", checks.check_extraction,
-            sources[0], targets[0], links[0], table, 7)
+            sources[0], targets[0], links[0], table)
 
     model = PhraseBasedTranslator.load(files["config"])
     source = max(sources[:40], key=len)
-    rescorer = checks.Rescorer(files, 6, [source])
+    rescorer = checks.Rescorer(files, [source])
     weights = checks.read_weights(files["config"])
     result = model.decoder_.decode(source)
     rescorer.check(source, result, weights)
@@ -155,8 +156,22 @@ def corrupted(work: str) -> None:
     hypotheses = [result.tokens]
     value = checks.own_bleu(hypotheses, [targets[0]])
     rejects("a wrong BLEU", checks.check_bleu, value + 1e-3, hypotheses, [targets[0]])
-    rejects("a tuning iteration that lowered pool BLEU", checks.check_tuning_history,
-            [(0.5, 0.6), (0.6, 0.55)])
+
+    # Tuning last, since it leaves its weights on the decoder.
+    dev = workloads.short_pairs(language, 7, "dev", 4)
+    probe = Probe(trace=False)
+    probe.attach(model)
+    tuner = MertTuner(iterations=2, nbest_size=10, seed=0).fit(dev, model.decoder_)
+    tuned = tuner.weights_.as_vector()
+    history = list(tuner.history_)
+    checks.check_tuning(history, probe.nbest_calls, dev, tuned)
+    before, after = history[-1]
+    rejects("a tuning history whose pool BLEU its weights do not reach", checks.check_tuning,
+            history[:-1] + [(before, after + 1e-3)], probe.nbest_calls, dev, tuned)
+    rejects("a tuning iteration that lowered pool BLEU", checks.check_tuning,
+            history[:-1] + [(before, before - 1e-3)], probe.nbest_calls, dev, tuned)
+    rejects("tuned weights that are not the tuner's", checks.check_tuning,
+            history, probe.nbest_calls, dev, tuple(-w for w in tuned))
 
 
 def main() -> int:

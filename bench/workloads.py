@@ -18,6 +18,8 @@ import random
 import resource
 import shutil
 import statistics
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -49,6 +51,9 @@ FIXED_SEED = 2015
 # fails: dev sets of 7-12-word sentences made MertTuner.fit raise
 # DecodeError on some of the sets tried.
 SHORT_RANGE = (3, 6)
+TRAIN_RANGE = (5, 20)
+LONG_RANGE = (15, 30)
+HELDOUT_PASSES = 2
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -69,19 +74,15 @@ FAULT = ("DecodeError: BeamDecoder._search expands hypotheses whose first "
 class Sizes:
     train_pairs: int = 1500
     model_pairs: int = 1000
-    train_range: tuple[int, int] = (5, 20)
     long_sentences: int = 12
-    long_range: tuple[int, int] = (15, 30)
     heldout: int = 24
     loads_per_model: int = 2
-    heldout_passes: int = 2
     dev: int = 15
     tune_iterations: int = 3
     nbest: int = 100
     setups: int = 3
     extraction_samples: int = 6
     lm_histories: int = 12
-    dictionary_min_count: int = 10
 
 
 @dataclass
@@ -129,6 +130,7 @@ class Run:
 
 
 def cli_main(argv: list[str]) -> None:
+    """phraseforge.cli.main in this process."""
     from phraseforge import cli
 
     with contextlib.redirect_stdout(io.StringIO()):
@@ -136,11 +138,24 @@ def cli_main(argv: list[str]) -> None:
     require(code == 0, f"phraseforge {argv[0]} exited with {code}")
 
 
-def prepare_and_train(raw_stem: str, out: str) -> str:
+def cli_child(argv: list[str]) -> None:
+    """python -m phraseforge in a child process, which the call waits for.
+    Training there keeps its memory out of this process's peak."""
+    import phraseforge
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(phraseforge.__file__)))
+    done = subprocess.run([sys.executable, "-m", "phraseforge", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    require(done.returncode == 0,
+            f"phraseforge {argv[0]} exited with {done.returncode}: {done.stderr.strip()[-500:]}")
+
+
+def prepare_and_train(raw_stem: str, out: str, main=cli_main) -> str:
     """prepare + train through the CLI; returns the model directory."""
     langs = ["--source-lang", "src", "--target-lang", "tgt"]
-    cli_main(["prepare", "--corpus", raw_stem, *langs, "--out", out + "/corpus"])
-    cli_main(["train", "--corpus", out + "/corpus/train", *langs, "--out", out + "/model"])
+    main(["prepare", "--corpus", raw_stem, *langs, "--out", out + "/corpus"])
+    main(["train", "--corpus", out + "/corpus/train", *langs, "--out", out + "/model"])
     return out + "/model"
 
 
@@ -274,8 +289,7 @@ def train_checks(run: Run, language, model_dir: str, corpus_dir: str) -> None:
     targets = checks.read_tokens(corpus_dir + "/train.tgt")
     dictionary = dict(language.dictionary)
     dictionary["."] = (".",)
-    frequent = checks.check_dictionary(
-        aligners[0].ttable_.rows(), sources, dictionary, sizes.dictionary_min_count)
+    frequent = checks.check_dictionary(aligners[0].ttable_.rows(), sources, dictionary)
     require(frequent > 0, "no frequent source words to check the aligner on")
     run.notes.append(f"dictionary_argmax={frequent}/{frequent}")
 
@@ -301,7 +315,7 @@ def train_checks(run: Run, language, model_dir: str, corpus_dir: str) -> None:
     require(len(links) == len(sources), "alignments.pharaoh has the wrong number of lines")
     boxes = 0
     for i in rng.sample(range(len(sources)), min(sizes.extraction_samples, len(sources))):
-        boxes += checks.check_extraction(sources[i], targets[i], links[i], table, 7)
+        boxes += checks.check_extraction(sources[i], targets[i], links[i], table)
     run.notes.append(f"brute_force_boxes={boxes}")
 
 
@@ -311,7 +325,7 @@ def run_train(run: Run) -> None:
     heldout = short_pairs(language, FIXED_SEED, "heldout", sizes.heldout)
 
     def generate(out: str) -> str:
-        pairs = gen.sentences(language, FIXED_SEED, "train", sizes.train_pairs, *sizes.train_range)
+        pairs = gen.sentences(language, FIXED_SEED, "train", sizes.train_pairs, *TRAIN_RANGE)
         gen.write_raw(pairs, out + "/raw")
         return out + "/raw"
 
@@ -340,11 +354,11 @@ def run_train(run: Run) -> None:
     # After the timed rounds, the model they all wrote is loaded again and
     # decodes the held-out set, as an evaluation after training would.
     files = model_files(first["model_dir"])
-    rescorer = checks.Rescorer(files, 6, [source for source, _ in heldout])
+    rescorer = checks.Rescorer(files, [source for source, _ in heldout])
     weights = checks.read_weights(files["config"])
     with run.probe.span("load"):
         model = load(run, first["model_dir"], 1)
-    for _ in range(sizes.heldout_passes):
+    for _ in range(HELDOUT_PASSES):
         with run.probe.span("round"):
             decode_round(run, model, heldout, rescorer, weights)
 
@@ -353,23 +367,22 @@ def run_train(run: Run) -> None:
 
 
 def trained_model(run: Run, language):
-    """Each set-up generates the model corpus and prepares and trains it;
-    the model it wrote is then loaded, outside the set-up time. Returns
-    the last model loaded and its files."""
+    """Each set-up generates the model corpus and prepares and trains it
+    in a child process, so that this process's peak memory is that of
+    loading, decoding and tuning; the model it wrote is then loaded,
+    outside the set-up time. Returns the last model loaded and its files."""
     sizes = run.sizes
 
     def build(out: str) -> str:
-        pairs = gen.sentences(language, FIXED_SEED, "model", sizes.model_pairs, *sizes.train_range)
+        pairs = gen.sentences(language, FIXED_SEED, "model", sizes.model_pairs, *TRAIN_RANGE)
         gen.write_raw(pairs, out + "/raw")
-        return prepare_and_train(out + "/raw", out)
+        return prepare_and_train(out + "/raw", out, cli_child)
 
     model = None
     digests = set()
     for k in range(sizes.setups):
-        model = None  # every set-up and load starts without a model in memory
+        model = None  # every load starts without a model in memory
         model_dir = setup(run, k, build)
-        run.probe.translators.clear()
-        run.probe.aligners.clear()
         digests.add(files_digest(model_files(model_dir)))
         require(len(digests) == 1, "training wrote different model files in one run")
         with run.probe.span("load"):
@@ -381,16 +394,17 @@ def run_translate_long(run: Run) -> None:
     sizes = run.sizes
     language = gen.Language(LANGUAGE_SEED)
     long_pairs = [(tuple(s), tuple(t)) for s, t in gen.sentences(
-        language, FIXED_SEED, "long", sizes.long_sentences, *sizes.long_range)]
+        language, FIXED_SEED, "long", sizes.long_sentences, *LONG_RANGE)]
     model, files = trained_model(run, language)
-    rescorer = checks.Rescorer(files, 6, [source for source, _ in long_pairs])
+    rescorer = checks.Rescorer(files, [source for source, _ in long_pairs])
     weights = checks.read_weights(files["config"])
 
     def body(k: int) -> None:
         start = clock()
         with run.probe.span("stage"):
-            decode_round(run, model, long_pairs, rescorer, weights)
+            results = translate(run, model, [source for source, _ in long_pairs])
         run.stage_times.append(clock() - start)
+        score_outputs(run, rescorer, long_pairs, results, weights)
 
     rounds(run, body)
     failed_per_round = run.failed * len(long_pairs) // run.attempted
@@ -405,7 +419,7 @@ def run_tune(run: Run) -> None:
     dev = short_pairs(language, FIXED_SEED, "dev", sizes.dev)
     heldout = short_pairs(language, FIXED_SEED, "heldout", sizes.heldout)
     model, files = trained_model(run, language)
-    rescorer = checks.Rescorer(files, 6, [source for source, _ in dev + heldout])
+    rescorer = checks.Rescorer(files, [source for source, _ in dev + heldout])
     initial = model.weights_
     tuned_weights: set = set()
 
@@ -419,15 +433,13 @@ def run_tune(run: Run) -> None:
         counts["pool"] = len(tuner.pool_)
         counts["iterations"] = len(tuner.history_)
         run.attempted += 1
-        checks.check_tuning_history(tuner.history_)
-        require(len(run.probe.nbest_calls) == len(dev) * len(tuner.history_),
-                "tuning did not decode every dev sentence once per iteration")
+        tuned = tuner.weights_.as_vector()
         for source, weights, results in run.probe.nbest_calls:
             require(1 <= len(results) <= sizes.nbest, "n-best list of the wrong size")
             checks.check_nbest_order(results)
             for result in results:
                 rescorer.check(source, result, weights)
-        tuned = tuner.weights_.as_vector()
+        checks.check_tuning(tuner.history_, run.probe.nbest_calls, dev, tuned)
         if not tuned_weights:
             run.notes.append("tuned_weights=" + ",".join(f"{w:.3g}" for w in tuned))
         tuned_weights.add(tuned)
