@@ -30,6 +30,14 @@ recombine on (coverage, LM state, end position); when a reordering table
 is active the key also carries the last phrase's span and backward
 distribution, which the next transition's score depends on. Recombined
 losers stay in the lattice as extra arcs, which is what nbest() walks.
+
+Lattice arcs carry their weighted score only. The feature totals of a
+returned derivation come from BeamDecoder.score_derivation(), which
+replays the derivation's options through the same LM, translation,
+reordering, penalty and distortion terms; it sums them in the order the
+options were applied, so decode() and the first nbest() entry agree
+bitwise. An arc's score is math.fsum over the nine weighted terms, which
+is exactly rounded and so equals FeatureWeights.dot of its features.
 """
 
 from __future__ import annotations
@@ -38,12 +46,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from .base import DataError, check_sentence
+from .base import check_sentence
 from .corpus import BOS, EOS
 from .lm import NGramLanguageModel
-from .phrases import DISC, MONO, ORIENTATIONS, SWAP, PhraseTable, ReorderingTable
+from .phrases import PhraseTable, ReorderingTable
 
 N_FEATURES = 9
 FEATURE_NAMES = (
@@ -60,7 +68,6 @@ FEATURE_NAMES = (
 
 OOV_LOGPROB = -10.0
 _UNIFORM_REO = (math.log(1.0 / 3.0),) * 3
-_ORIENT_INDEX = {MONO: 0, SWAP: 1, DISC: 2}
 NEG_INF = float("-inf")
 
 
@@ -241,7 +248,6 @@ def future_cost_table(
 class _Arc(NamedTuple):
     pred: "_Node"
     option: TranslationOption | None  # None marks the completion transition
-    features: tuple[float, ...]
     score: float
 
 
@@ -283,6 +289,10 @@ class _Node:
                 self.target = target
 
 
+def _steps(options: Sequence[TranslationOption]) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
+    return tuple((opt.start, opt.end, opt.tgt) for opt in options)
+
+
 class BeamDecoder:
     """Stack decoder over a phrase table, language model, and optional
     lexicalized reordering model.
@@ -291,7 +301,9 @@ class BeamDecoder:
     beam_threshold is the relative score threshold (0 disables it);
     distortion_limit caps |phrase start - previous phrase end| (None =
     unlimited). Ties anywhere break toward the lexicographically smaller
-    target, so decoding is deterministic.
+    target, so decoding is deterministic. weights, beam_size and
+    distortion_limit may be changed between calls; each search reads them
+    afresh.
     """
 
     def __init__(
@@ -324,25 +336,93 @@ class BeamDecoder:
 
     def decode(self, tokens: Iterable[str]) -> DecodeResult:
         """Best-scoring complete derivation for one source sentence."""
-        final = self._search(check_sentence(tokens))
-        steps = []
-        features = (0.0,) * N_FEATURES
-        node: _Node | None = final
-        while node is not None and node.best_arc is not None:
+        tokens = check_sentence(tokens)
+        lm_memo: dict = {}
+        final = self._search(tokens, lm_memo)
+        options = []
+        node = final
+        while node.best_arc is not None:
             arc = node.best_arc
-            features = tuple(a + b for a, b in zip(features, arc.features))
             if arc.option is not None:
-                steps.append((arc.option.start, arc.option.end, arc.option.tgt))
+                options.append(arc.option)
             node = arc.pred
-        steps.reverse()
-        return DecodeResult(final.target, final.score, features, tuple(steps))
+        options.reverse()
+        features = self.score_derivation(options, len(tokens), lm_memo)
+        return DecodeResult(final.target, final.score, features, _steps(options))
 
     def nbest(self, tokens: Iterable[str], n: int) -> list[DecodeResult]:
         """The n best distinct derivations, best first."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        final = self._search(check_sentence(tokens))
-        return list(itertools.islice(_KBest(final).derivations(), n))
+        tokens = check_sentence(tokens)
+        lm_memo: dict = {}
+        final = self._search(tokens, lm_memo)
+
+        def features(options):
+            return self.score_derivation(options, len(tokens), lm_memo)
+
+        return list(itertools.islice(_KBest(final, features).derivations(), n))
+
+    def score_derivation(
+        self,
+        options: Sequence[TranslationOption],
+        source_len: int,
+        lm_memo: dict | None = None,
+    ) -> tuple[float, ...]:
+        """Feature totals of a complete derivation of a source sentence of
+        source_len words: its options in the order they are applied, with
+        the LM's </s> event and the final reordering transition added.
+
+        These are the terms the search scores its arcs with, summed in
+        the order the options were applied. lm_memo is a search's
+        (LM state, target phrase) -> (log-probability sum, next state)
+        memo to reuse; a fresh one is used when it is None.
+        """
+        if lm_memo is None:
+            lm_memo = {}
+        reo_on = self.reordering_table is not None
+        state = (BOS,) if self.lm.order > 1 else ()
+        totals = (0.0,) * N_FEATURES
+        prev_start = prev_end = 0
+        prev_bwd = None
+        for opt in options:
+            hit = lm_memo.get((state, opt.tgt))
+            if hit is None:
+                hit = lm_memo[(state, opt.tgt)] = self._lm_extend(state, opt.tgt)
+            lm_sum, state = hit
+            reo_feat = 0.0
+            if reo_on:
+                if opt.start == prev_end:
+                    orient = 0  # mono
+                elif opt.end == prev_start:
+                    orient = 1  # swap
+                else:
+                    orient = 2  # disc
+                reo_feat = opt.fwd_reo[orient]
+                if prev_bwd is not None:
+                    reo_feat += prev_bwd[orient]
+            features = (
+                lm_sum,
+                *opt.tm_logs,
+                reo_feat,
+                float(len(opt.tgt)),
+                1.0,
+                -float(abs(opt.start - prev_end)),
+            )
+            totals = tuple(a + b for a, b in zip(totals, features))
+            prev_start, prev_end = opt.start, opt.end
+            prev_bwd = opt.bwd_reo if reo_on else None
+        features = self._completion_features(state, prev_end, prev_bwd, source_len)
+        return tuple(a + b for a, b in zip(totals, features))
+
+    def _completion_features(self, lm_state, last_end, last_bwd, source_len):
+        """Features of the transition to the end of the sentence: the LM's
+        </s> event and the last phrase's backward orientation (monotone
+        iff that phrase ends the sentence)."""
+        reo_feat = 0.0
+        if last_bwd is not None:
+            reo_feat = last_bwd[0 if last_end == source_len else 2]
+        return (self.lm.logprob(EOS, lm_state), 0.0, 0.0, 0.0, 0.0, reo_feat, 0.0, 0.0, 0.0)
 
     # -- search ---------------------------------------------------------
 
@@ -357,7 +437,13 @@ class BeamDecoder:
             state = (state + (w,))[-(self.lm.order - 1) :]
         return total, state
 
-    def _search(self, tokens: tuple[str, ...]) -> _Node:
+    def _search(self, tokens: tuple[str, ...], lm_memo: dict) -> _Node:
+        """Fill the coverage stacks; returns the final lattice node.
+
+        lm_memo maps (LM state, target phrase) to (log-probability sum,
+        next state) for this sentence; it is filled here and by the
+        caller's replay of the derivations it returns.
+        """
         n = len(tokens)
         options = build_options(
             tokens,
@@ -365,9 +451,14 @@ class BeamDecoder:
             self.reordering_table,
             self.options_per_span,
         )
-        span_future = future_cost_table(options, n, self.weights, self.lm)
-        reo_on = self.reordering_table is not None
         weights = self.weights
+        span_future = future_cost_table(options, n, weights, self.lm)
+        reo_on = self.reordering_table is not None
+        limit = self.distortion_limit
+        wvec = weights.as_vector()
+        w_lm, w_reo, w_dist = wvec[0], wvec[5], wvec[8]
+        fsum = math.fsum
+        lm_extend = self._lm_extend
         future_memo: dict[int, float] = {}
 
         def future_of(coverage: int) -> float:
@@ -387,6 +478,21 @@ class BeamDecoder:
                 i = j
             future_memo[coverage] = total
             return total
+
+        # Options by start position, in build_options order (end, then
+        # target), so that once one overlaps a coverage every later one at
+        # that start does too. Each carries the weighted terms that do not
+        # depend on the hypothesis: four translation scores, word penalty
+        # and phrase penalty. It also carries its part of the recombination
+        # key (see the module docstring).
+        by_start: list[list[tuple]] = [[] for _ in range(n)]
+        for opt in options:
+            static = tuple(w * f for w, f in zip(wvec[1:5], opt.tm_logs)) + (
+                wvec[6] * float(len(opt.tgt)),
+                wvec[7] * 1.0,
+            )
+            recombine = (opt.start, opt.end, opt.bwd_reo) if reo_on else opt.end
+            by_start[opt.start].append((opt, opt.mask, static, recombine))
 
         init_state = (BOS,) if self.lm.order > 1 else ()
         init = _Node(0, init_state, (0, 0), None, future_of(0))
@@ -411,61 +517,55 @@ class BeamDecoder:
                 cutoff = nodes[0].score + nodes[0].future + threshold_log
                 nodes = [nd for nd in nodes if nd.score + nd.future >= cutoff]
             for node in nodes:
-                prev_end = node.span[1]
-                for opt in options:
-                    if node.coverage & opt.mask:
-                        continue
-                    jump = abs(opt.start - prev_end)
-                    if self.distortion_limit is not None and jump > self.distortion_limit:
-                        continue
-                    lm_sum, new_state = self._lm_extend(node.lm_state, opt.tgt)
-                    reo_feat = 0.0
-                    if reo_on:
-                        if opt.start == prev_end:
-                            orient = 0  # mono
-                        elif opt.end == node.span[0]:
-                            orient = 1  # swap
-                        else:
-                            orient = 2  # disc
-                        reo_feat = opt.fwd_reo[orient]
-                        if node.bwd_reo is not None:
-                            reo_feat += node.bwd_reo[orient]
-                    features = (
-                        lm_sum,
-                        *opt.tm_logs,
-                        reo_feat,
-                        float(len(opt.tgt)),
-                        1.0,
-                        -float(jump),
-                    )
-                    arc_score = weights.dot(features)
-                    new_cov = node.coverage | opt.mask
-                    if reo_on:
-                        key = (new_cov, new_state, opt.start, opt.end, opt.bwd_reo)
-                    else:
-                        key = (new_cov, new_state, opt.end)
-                    child_stack = stacks[new_cov.bit_count()]
-                    child = child_stack.get(key)
-                    if child is None:
-                        child = _Node(
-                            new_cov,
-                            new_state,
-                            (opt.start, opt.end),
-                            opt.bwd_reo if reo_on else None,
-                            future_of(new_cov),
-                        )
-                        child_stack[key] = child
-                    child.offer(_Arc(node, opt, features, arc_score))
+                coverage = node.coverage
+                state = node.lm_state
+                prev_start, prev_end = node.span
+                prev_bwd = node.bwd_reo
+                if limit is None:
+                    starts = range(n)
+                else:
+                    starts = range(max(0, prev_end - limit), min(n, prev_end + limit + 1))
+                for start in starts:
+                    dist_term = w_dist * -float(abs(start - prev_end))
+                    mono = start == prev_end
+                    for opt, mask, static, recombine in by_start[start]:
+                        if coverage & mask:
+                            break
+                        hit = lm_memo.get((state, opt.tgt))
+                        if hit is None:
+                            hit = lm_memo[(state, opt.tgt)] = lm_extend(state, opt.tgt)
+                        lm_sum, new_state = hit
+                        reo_feat = 0.0
+                        if reo_on:
+                            if mono:
+                                orient = 0  # mono
+                            elif opt.end == prev_start:
+                                orient = 1  # swap
+                            else:
+                                orient = 2  # disc
+                            reo_feat = opt.fwd_reo[orient]
+                            if prev_bwd is not None:
+                                reo_feat += prev_bwd[orient]
+                        arc_score = fsum((w_lm * lm_sum, w_reo * reo_feat, dist_term) + static)
+                        new_cov = coverage | mask
+                        key = (new_cov, new_state, recombine)
+                        child_stack = stacks[new_cov.bit_count()]
+                        child = child_stack.get(key)
+                        if child is None:
+                            child = _Node(
+                                new_cov,
+                                new_state,
+                                (start, opt.end),
+                                opt.bwd_reo if reo_on else None,
+                                future_of(new_cov),
+                            )
+                            child_stack[key] = child
+                        child.offer(_Arc(node, opt, arc_score))
 
         final = _Node((1 << n) - 1, (), (0, n), None, 0.0)
         for node in stacks[n].values():
-            lm_eos = self.lm.logprob(EOS, node.lm_state)
-            reo_feat = 0.0
-            if reo_on and node.bwd_reo is not None:
-                orient = 0 if node.span[1] == n else 2
-                reo_feat = node.bwd_reo[orient]
-            features = (lm_eos, 0.0, 0.0, 0.0, 0.0, reo_feat, 0.0, 0.0, 0.0)
-            final.offer(_Arc(node, None, features, weights.dot(features)))
+            features = self._completion_features(node.lm_state, node.span[1], node.bwd_reo, n)
+            final.offer(_Arc(node, None, fsum(w * f for w, f in zip(wvec, features))))
         if not final.arcs:
             raise DecodeError(
                 f"no complete derivation for {' '.join(tokens)!r} "
@@ -475,12 +575,17 @@ class BeamDecoder:
 
 
 class _KBest:
-    """Lazy k-best path enumeration over the search lattice."""
+    """Lazy k-best path enumeration over the search lattice.
 
-    _BASE = ((0.0, (0.0,) * N_FEATURES, (), ()),)
+    A path is (score, target, options); features(options) gives the
+    feature totals of each derivation yielded.
+    """
 
-    def __init__(self, final: _Node):
+    _BASE = (0.0, (), ())
+
+    def __init__(self, final: _Node, features):
         self.final = final
+        self.features = features
         self.states: dict[int, dict] = {}
 
     def derivations(self):
@@ -489,8 +594,8 @@ class _KBest:
             entry = self._kth(self.final, k)
             if entry is None:
                 return
-            score, features, target, steps = entry
-            yield DecodeResult(target, score, features, steps)
+            score, target, options = entry
+            yield DecodeResult(target, score, self.features(options), _steps(options))
             k += 1
 
     def _state(self, node: _Node) -> dict:
@@ -501,7 +606,7 @@ class _KBest:
             for arc in node.arcs:
                 first = self._kth(arc.pred, 0)
                 score = first[0] + arc.score
-                target = first[2] + (arc.option.tgt if arc.option else ())
+                target = first[1] + (arc.option.tgt if arc.option else ())
                 heapq.heappush(heap, (-score, target, next(counter), arc, 0))
             state = {"out": [], "heap": heap, "counter": counter}
             self.states[id(node)] = state
@@ -509,23 +614,23 @@ class _KBest:
 
     def _kth(self, node: _Node, k: int):
         if not node.arcs:  # the initial hypothesis
-            return self._BASE[0] if k == 0 else None
+            return self._BASE if k == 0 else None
         state = self._state(node)
         out, heap = state["out"], state["heap"]
         while len(out) <= k and heap:
             neg_score, _, _, arc, idx = heapq.heappop(heap)
             pred_entry = self._kth(arc.pred, idx)
             score = pred_entry[0] + arc.score
-            features = tuple(a + b for a, b in zip(pred_entry[1], arc.features))
-            target = pred_entry[2] + (arc.option.tgt if arc.option else ())
-            steps = pred_entry[3]
+            target = pred_entry[1]
+            options = pred_entry[2]
             if arc.option is not None:
-                steps = steps + ((arc.option.start, arc.option.end, arc.option.tgt),)
-            out.append((score, features, target, steps))
+                target = target + arc.option.tgt
+                options = options + (arc.option,)
+            out.append((score, target, options))
             succ = self._kth(arc.pred, idx + 1)
             if succ is not None:
                 s_score = succ[0] + arc.score
-                s_target = succ[2] + (arc.option.tgt if arc.option else ())
+                s_target = succ[1] + (arc.option.tgt if arc.option else ())
                 heapq.heappush(
                     heap, (-s_score, s_target, next(state["counter"]), arc, idx + 1)
                 )

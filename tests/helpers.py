@@ -244,11 +244,12 @@ def random_triple(rng):
 
 
 def random_decoder_instance(rng, with_reordering=False, max_sentence=4,
-                            max_entries=20):
-    """A decoding problem small enough for exhaustive search."""
+                            max_entries=20, min_sentence=1):
+    """A random decoding problem; at the default sizes it is small enough
+    for exhaustive search."""
     src_vocab = ["s%d" % k for k in range(5)]
     tgt_vocab = ["t%d" % k for k in range(5)]
-    n = rng.randint(1, max_sentence)
+    n = rng.randint(min_sentence, max_sentence)
     tokens = tuple(rng.choice(src_vocab) for _ in range(n))
     lm_corpus = [
         tuple(rng.choice(tgt_vocab) for _ in range(rng.randint(1, 5)))

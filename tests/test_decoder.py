@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import all_derivations, random_decoder_instance
+from helpers import all_derivations, random_decoder_instance, score_path
 from phraseforge.base import CorpusError
 from phraseforge.corpus import BOS
 from phraseforge.decoder import (
@@ -13,6 +13,7 @@ from phraseforge.decoder import (
     N_FEATURES,
     OOV_LOGPROB,
     BeamDecoder,
+    DecodeError,
     DecodeResult,
     FeatureWeights,
     TranslationOption,
@@ -230,7 +231,9 @@ def test_decode_agrees_with_the_first_nbest_entry():
         )
         decoder = exhaustive(table, lm, reordering, weights)
         top = decoder.nbest(tokens, 1)[0]
-        assert decoder.decode(tokens).score == pytest.approx(top.score, abs=1e-9)
+        # both replay the derivation through score_derivation, so they
+        # agree bitwise, features included
+        assert decoder.decode(tokens) == top
 
 
 def test_nbest_enumerates_every_derivation_in_score_order():
@@ -279,6 +282,65 @@ def test_wider_beams_never_score_worse():
             assert narrow <= wide + 1e-9
         exact = exhaustive(table, lm, reordering, weights).decode(tokens).score
         assert scores[-1] == pytest.approx(exact, abs=1e-9)
+
+
+def test_pruned_search_scores_match_an_independent_rescoring():
+    """Long sentences under histogram, threshold and distortion pruning:
+    every returned derivation's features equal an independent rescoring
+    of its options, and its score is the weighted sum of them."""
+    rng = random.Random(79)
+    settings = {"default": {}, "beam 10, limit 3": {"beam_size": 10, "distortion_limit": 3}}
+    checked = dict.fromkeys(settings, 0)
+    for trial in range(12):
+        tokens, table, reordering, lm, weights, options = random_decoder_instance(
+            rng, with_reordering=trial % 2 == 0, min_sentence=8, max_sentence=14,
+            max_entries=120,
+        )
+        by_step = {(o.start, o.end, o.tgt): o for o in options}
+        for name, kwargs in settings.items():
+            decoder = BeamDecoder(table, lm, reordering, weights, **kwargs)
+            try:
+                results = [decoder.decode(tokens)] + decoder.nbest(tokens, 20)
+            except DecodeError:
+                continue
+            for result in results:
+                opts = [by_step[step] for step in result.derivation]
+                _, features, target, steps = score_path(
+                    opts, len(tokens), lm, weights, reordering
+                )
+                assert (target, steps) == (result.tokens, result.derivation)
+                assert all(abs(a - b) <= 1e-9 for a, b in zip(result.features, features))
+                assert abs(weights.dot(result.features) - result.score) <= 1e-9 * max(
+                    1.0, abs(result.score)
+                )
+                checked[name] += 1
+    assert all(checked.values()), checked
+
+
+def test_settings_changed_on_a_live_decoder_apply_to_the_next_search():
+    """weights, beam_size and distortion_limit are read by each search,
+    as MERT and the CLI rely on when they change them on a live decoder."""
+    rng = random.Random(83)
+    changed = 0
+    for trial in range(10):
+        tokens, table, reordering, lm, weights, _ = random_decoder_instance(
+            rng, with_reordering=trial % 2 == 0, min_sentence=8, max_sentence=12,
+            max_entries=80,
+        )
+        other = FeatureWeights.from_vector(rng.uniform(-1.0, 1.0) for _ in range(9))
+        live = BeamDecoder(table, lm, reordering, weights)
+        before = live.nbest(tokens, 5)
+        live.weights, live.beam_size, live.distortion_limit = other, 4, 2
+        fresh = BeamDecoder(table, lm, reordering, other, beam_size=4, distortion_limit=2)
+        try:
+            expected = (fresh.decode(tokens), fresh.nbest(tokens, 5))
+        except DecodeError:
+            with pytest.raises(DecodeError):
+                live.decode(tokens)
+            continue
+        assert (live.decode(tokens), live.nbest(tokens, 5)) == expected
+        changed += expected[1] != before
+    assert changed
 
 
 def test_zero_distortion_limit_forces_monotone_derivations():
