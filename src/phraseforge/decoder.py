@@ -34,10 +34,12 @@ losers stay in the lattice as extra arcs, which is what nbest() walks.
 Lattice arcs carry their weighted score only. The feature totals of a
 returned derivation come from BeamDecoder.score_derivation(), which
 replays the derivation's options through the same LM, translation,
-reordering, penalty and distortion terms; it sums them in the order the
-options were applied, so decode() and the first nbest() entry agree
-bitwise. An arc's score is math.fsum over the nine weighted terms, which
-is exactly rounded and so equals FeatureWeights.dot of its features.
+reordering, penalty and distortion terms; a step's LM and reordering
+terms come from _step, the one function the search scores arcs with.
+The replay sums the terms in the order the options were applied, so
+decode() and the first nbest() entry agree bitwise. An arc's score is
+math.fsum over the nine weighted terms, which is exactly rounded and so
+equals FeatureWeights.dot of its features.
 """
 
 from __future__ import annotations
@@ -367,40 +369,24 @@ class BeamDecoder:
         self,
         options: Sequence[TranslationOption],
         source_len: int,
-        lm_memo: dict | None = None,
+        lm_memo: dict,
     ) -> tuple[float, ...]:
         """Feature totals of a complete derivation of a source sentence of
         source_len words: its options in the order they are applied, with
         the LM's </s> event and the final reordering transition added.
 
         These are the terms the search scores its arcs with, summed in
-        the order the options were applied. lm_memo is a search's
-        (LM state, target phrase) -> (log-probability sum, next state)
-        memo to reuse; a fresh one is used when it is None.
+        the order the options were applied. lm_memo is the memo of the
+        search that found the derivation (see _step).
         """
-        if lm_memo is None:
-            lm_memo = {}
-        reo_on = self.reordering_table is not None
         state = (BOS,) if self.lm.order > 1 else ()
         totals = (0.0,) * N_FEATURES
         prev_start = prev_end = 0
         prev_bwd = None
         for opt in options:
-            hit = lm_memo.get((state, opt.tgt))
-            if hit is None:
-                hit = lm_memo[(state, opt.tgt)] = self._lm_extend(state, opt.tgt)
-            lm_sum, state = hit
-            reo_feat = 0.0
-            if reo_on:
-                if opt.start == prev_end:
-                    orient = 0  # mono
-                elif opt.end == prev_start:
-                    orient = 1  # swap
-                else:
-                    orient = 2  # disc
-                reo_feat = opt.fwd_reo[orient]
-                if prev_bwd is not None:
-                    reo_feat += prev_bwd[orient]
+            lm_sum, state, reo_feat = self._step(
+                lm_memo, state, opt, prev_start, prev_end, prev_bwd
+            )
             features = (
                 lm_sum,
                 *opt.tm_logs,
@@ -411,7 +397,7 @@ class BeamDecoder:
             )
             totals = tuple(a + b for a, b in zip(totals, features))
             prev_start, prev_end = opt.start, opt.end
-            prev_bwd = opt.bwd_reo if reo_on else None
+            prev_bwd = opt.bwd_reo if self.reordering_table is not None else None
         features = self._completion_features(state, prev_end, prev_bwd, source_len)
         return tuple(a + b for a, b in zip(totals, features))
 
@@ -425,6 +411,32 @@ class BeamDecoder:
         return (self.lm.logprob(EOS, lm_state), 0.0, 0.0, 0.0, 0.0, reo_feat, 0.0, 0.0, 0.0)
 
     # -- search ---------------------------------------------------------
+
+    def _step(self, lm_memo, state, opt, prev_start, prev_end, prev_bwd):
+        """(LM log-probability sum, next LM state, reordering feature) of
+        applying opt in LM state `state` after the phrase [prev_start,
+        prev_end) whose backward distribution is prev_bwd (None before the
+        first phrase). The search scores its arcs and score_derivation()
+        replays a derivation with this one function.
+
+        lm_memo maps (LM state, target phrase) to (log-probability sum,
+        next state) for one search; a miss queries the LM.
+        """
+        hit = lm_memo.get((state, opt.tgt))
+        if hit is None:
+            hit = lm_memo[(state, opt.tgt)] = self._lm_extend(state, opt.tgt)
+        reo_feat = 0.0
+        if self.reordering_table is not None:
+            if opt.start == prev_end:
+                orient = 0  # mono
+            elif opt.end == prev_start:
+                orient = 1  # swap
+            else:
+                orient = 2  # disc
+            reo_feat = opt.fwd_reo[orient]
+            if prev_bwd is not None:
+                reo_feat += prev_bwd[orient]
+        return hit[0], hit[1], reo_feat
 
     def _lm_extend(self, state, words):
         total = 0.0
@@ -458,7 +470,7 @@ class BeamDecoder:
         wvec = weights.as_vector()
         w_lm, w_reo, w_dist = wvec[0], wvec[5], wvec[8]
         fsum = math.fsum
-        lm_extend = self._lm_extend
+        step = self._step
         future_memo: dict[int, float] = {}
 
         def future_of(coverage: int) -> float:
@@ -527,25 +539,12 @@ class BeamDecoder:
                     starts = range(max(0, prev_end - limit), min(n, prev_end + limit + 1))
                 for start in starts:
                     dist_term = w_dist * -float(abs(start - prev_end))
-                    mono = start == prev_end
                     for opt, mask, static, recombine in by_start[start]:
                         if coverage & mask:
                             break
-                        hit = lm_memo.get((state, opt.tgt))
-                        if hit is None:
-                            hit = lm_memo[(state, opt.tgt)] = lm_extend(state, opt.tgt)
-                        lm_sum, new_state = hit
-                        reo_feat = 0.0
-                        if reo_on:
-                            if mono:
-                                orient = 0  # mono
-                            elif opt.end == prev_start:
-                                orient = 1  # swap
-                            else:
-                                orient = 2  # disc
-                            reo_feat = opt.fwd_reo[orient]
-                            if prev_bwd is not None:
-                                reo_feat += prev_bwd[orient]
+                        lm_sum, new_state, reo_feat = step(
+                            lm_memo, state, opt, prev_start, prev_end, prev_bwd
+                        )
                         arc_score = fsum((w_lm * lm_sum, w_reo * reo_feat, dist_term) + static)
                         new_cov = coverage | mask
                         key = (new_cov, new_state, recombine)
