@@ -13,10 +13,11 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .base import BaseEstimator, DataError, ParseError, check_is_fitted
-from .corpus import NULL_WORD, ParallelCorpus, SentencePair, Vocabulary
+from .corpus import NULL_WORD, ParallelCorpus, SentencePair
 
 logger = logging.getLogger(__name__)
 
@@ -44,50 +45,40 @@ class AlignmentMatrix:
         )
 
 
-class TTable:
-    """Sparse lexical translation probabilities, id-keyed internally.
+_NO_ROW: Mapping[str, float] = MappingProxyType({})  # the row of an unseen word
 
-    rows() exposes {source token: {target token: prob}} for inspection;
-    prob() returns 0.0 for unseen pairs. Every stored row sums to 1.
+
+class TTable:
+    """Sparse lexical translation probabilities, keyed by token.
+
+    The rows are {source token: {target token: prob}}; rows() returns a
+    fresh copy of them, and prob() returns 0.0 for unseen pairs. Every
+    stored row sums to 1.
     """
 
-    def __init__(
-        self,
-        src_vocab: Vocabulary,
-        tgt_vocab: Vocabulary,
-        probs: dict[int, dict[int, float]],
-    ):
-        self._src_vocab = src_vocab
-        self._tgt_vocab = tgt_vocab
-        self._probs = probs
+    def __init__(self, rows: dict[str, dict[str, float]]):
+        self._rows = rows
 
     @classmethod
     def from_dict(cls, mapping: dict[tuple[str, str], float]) -> "TTable":
         """Build a table from {(source token, target token): prob}."""
-        src_vocab = Vocabulary()
-        tgt_vocab = Vocabulary()
-        probs: dict[int, dict[int, float]] = defaultdict(dict)
+        rows: dict[str, dict[str, float]] = defaultdict(dict)
         for (src, tgt), p in mapping.items():
-            probs[src_vocab.add(src)][tgt_vocab.add(tgt)] = p
-        return cls(src_vocab, tgt_vocab, dict(probs))
+            rows[src][tgt] = p
+        return cls(dict(rows))
 
     def prob(self, src_token: str, tgt_token: str) -> float:
-        e = self._src_vocab.get(src_token)
-        f = self._tgt_vocab.get(tgt_token)
-        if e is None or f is None:
-            return 0.0
-        return self._probs.get(e, {}).get(f, 0.0)
+        return self._rows.get(src_token, _NO_ROW).get(tgt_token, 0.0)
+
+    def row(self, src_token: str) -> Mapping[str, float]:
+        """The stored row of src_token (empty when unseen); do not mutate it."""
+        return self._rows.get(src_token, _NO_ROW)
 
     def rows(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for e, row in self._probs.items():
-            out[self._src_vocab.token(e)] = {
-                self._tgt_vocab.token(f): p for f, p in row.items()
-            }
-        return out
+        return {src: dict(row) for src, row in self._rows.items()}
 
     def row_sums(self) -> dict[str, float]:
-        return {src: math.fsum(row.values()) for src, row in self.rows().items()}
+        return {src: math.fsum(row.values()) for src, row in self._rows.items()}
 
 
 class IBM1Aligner(BaseEstimator):
@@ -111,44 +102,43 @@ class IBM1Aligner(BaseEstimator):
         if not pair_list:
             raise DataError("cannot train an aligner on an empty corpus")
 
-        src_vocab = Vocabulary()
-        tgt_vocab = Vocabulary()
-        encoded: list[tuple[list[int], list[int]]] = []
+        sentences: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
         for src, tgt in pair_list:
             if not src or not tgt:
                 raise DataError("alignment pairs must be non-empty on both sides")
-            encoded.append(
-                ([0] + [src_vocab.add(w) for w in src], [tgt_vocab.add(w) for w in tgt])
-            )
+            sentences.append(((NULL_WORD, *src), tuple(tgt)))
 
-        n_targets = len({f for _, tgt in encoded for f in tgt})
+        n_targets = len({f for _, tgt in sentences for f in tgt})
         uniform = 1.0 / n_targets
-        table: dict[int, dict[int, float]] = defaultdict(dict)
-        for src_ids, tgt_ids in encoded:
-            for e in src_ids:
+        table: dict[str, dict[str, float]] = defaultdict(dict)
+        for src, tgt in sentences:
+            for e in src:
                 row = table[e]
-                for f in tgt_ids:
+                for f in tgt:
                     row[f] = uniform
 
         history = []
         for _ in range(self.iterations):
-            counts: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
+            counts: dict[str, dict[str, float]] = defaultdict(lambda: defaultdict(float))
             loglik = 0.0
-            for src_ids, tgt_ids in encoded:
-                loglik -= len(tgt_ids) * math.log(len(src_ids))
-                for f in tgt_ids:
-                    z = math.fsum(table[e][f] for e in src_ids)
+            for src, tgt in sentences:
+                loglik -= len(tgt) * math.log(len(src))
+                t_rows = [table[e] for e in src]
+                c_rows = [counts[e] for e in src]
+                for f in tgt:
+                    probs = [row[f] for row in t_rows]
+                    z = math.fsum(probs)
                     loglik += math.log(z) if z > 0.0 else float("-inf")
-                    for e in src_ids:
-                        counts[e][f] += table[e][f] / z
+                    for c_row, p in zip(c_rows, probs):
+                        c_row[f] += p / z
             history.append(loglik)
-            new_table: dict[int, dict[int, float]] = {}
+            new_table: dict[str, dict[str, float]] = {}
             for e, row in counts.items():
                 total = math.fsum(row.values())
                 new_table[e] = {f: c / total for f, c in row.items()}
             table = new_table
 
-        self.ttable_ = TTable(src_vocab, tgt_vocab, table)
+        self.ttable_ = TTable(table)
         self.loglik_per_iteration_ = history
         return self
 
@@ -202,12 +192,14 @@ def viterbi_align(
     src, tgt = (tuple(pair[0]), tuple(pair[1]))
     if direction == "reverse":
         src, tgt = tgt, src
+    null_row = ttable.row(NULL_WORD)
+    src_rows = [ttable.row(e) for e in src]
     links = set()
     for j, f in enumerate(tgt):
-        best = ttable.prob(NULL_WORD, f)
+        best = null_row.get(f, 0.0)
         best_i = None
-        for i, e in enumerate(src):
-            p = ttable.prob(e, f)
+        for i, row in enumerate(src_rows):
+            p = row.get(f, 0.0)
             if p > best:
                 best = p
                 best_i = i

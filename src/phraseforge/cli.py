@@ -6,9 +6,10 @@ translate is a line filter (stdin to stdout) so the toolkit composes
 with shell pipes.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad input files,
-malformed configs, undecodable input), 3 internal error. The environment
-variable PHRASEFORGE_THREADS (default 1) caps translate concurrency;
-output order is always input order.
+malformed configs, undecodable input), 3 internal error. translate
+prints each line as soon as it is decoded; a line that cannot be decoded
+is logged to stderr and yields an empty line (no entries with --nbest),
+the other lines are still translated, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .base import CorpusError, DataError
@@ -62,19 +62,6 @@ def _limit(value: int | None) -> int | None:
     if value is None or value < 0:
         return None
     return value
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PHRASEFORGE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise UsageError(f"PHRASEFORGE_THREADS must be a positive integer, got {raw!r}")
-    return count
 
 
 # -- prepare -----------------------------------------------------------
@@ -219,8 +206,7 @@ def cmd_translate(args) -> int:
     if args.distortion_limit is not None:
         model.decoder_.distortion_limit = _limit(args.distortion_limit)
 
-    def render(item: tuple[int, str]) -> list[str]:
-        index, line = item
+    def render(index: int, line: str) -> list[str]:
         if not line.strip():
             logger.info("line %d: empty input", index + 1)
             return [""] if args.nbest is None else []
@@ -234,17 +220,27 @@ def cmd_translate(args) -> int:
             for r in model.nbest(tokens, args.nbest)
         ]
 
-    lines = sys.stdin.read().splitlines()
-    threads = _thread_count()
-    if threads > 1 and len(lines) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rendered = list(pool.map(render, enumerate(lines)))
-    else:
-        rendered = [render(item) for item in enumerate(lines)]
-    for chunk in rendered:
-        for line in chunk:
-            print(line)
+    failed = 0
+    for index, line in enumerate(_input_lines(sys.stdin)):
+        try:
+            rendered = render(index, line)
+        except DecodeError as exc:
+            logger.error("line %d: %s", index + 1, exc)
+            failed += 1
+            rendered = [""] if args.nbest is None else []
+        for out in rendered:
+            print(out, flush=True)
+    if failed:
+        logger.error("%d input line(s) could not be decoded", failed)
+        return 2
     return 0
+
+
+def _input_lines(stream):
+    """The lines of stream as str.splitlines() splits its whole text, read
+    one physical line at a time."""
+    for raw in stream:
+        yield from raw.splitlines()
 
 
 # -- evaluate ----------------------------------------------------------

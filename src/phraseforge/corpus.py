@@ -47,12 +47,6 @@ class ParallelCorpus:
     def __iter__(self) -> Iterator[SentencePair]:
         return iter(self.pairs)
 
-    def source_sentences(self) -> list[tuple[str, ...]]:
-        return [p.source for p in self.pairs]
-
-    def target_sentences(self) -> list[tuple[str, ...]]:
-        return [p.target for p in self.pairs]
-
 
 class Vocabulary:
     """Bidirectional token <-> id map with reserved low ids.

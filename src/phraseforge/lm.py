@@ -200,7 +200,8 @@ class NGramLanguageModel(BaseEstimator):
 
     def logprob(self, word: str, context: tuple[str, ...] = ()) -> float:
         """Natural-log P(word | context), truncating long contexts."""
-        check_is_fitted(self, "entries_", "vocab_")
+        if self.vocab_ is None:  # one test per query on the decoder's hot path
+            check_is_fitted(self, "entries_", "vocab_")
         if self.order > 1:
             context = tuple(context)[-(self.order - 1) :]
         else:

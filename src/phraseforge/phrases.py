@@ -12,9 +12,9 @@ target-given-source.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .align import AlignmentMatrix, Link, TTable
 from .base import DataError, ParseError
@@ -26,7 +26,7 @@ DISC = "disc"
 ORIENTATIONS = (MONO, SWAP, DISC)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhrasePair:
     """Extracted phrase pair: inclusive spans plus their surface tokens."""
 
@@ -36,7 +36,7 @@ class PhrasePair:
     tgt: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhraseOccurrence:
     """One extraction instance with its box-internal links and orientations.
 
@@ -74,8 +74,13 @@ def extract_occurrences(
 
     Iterates target spans, projects each onto the source side, rejects
     spans whose projected box leaks links, then emits every extension of
-    the source span over adjacent unaligned source words. Runs in
-    O(m^2 * (|links| + extension area)) per pair.
+    the source span over adjacent unaligned source words. The links are
+    indexed once by target position, and each source position keeps the
+    first and last target it links to: for a fixed target start the
+    projection grows by a running min/max as the target span grows, and a
+    box leaks exactly when a source position inside it links outside the
+    target span. Runs in O(|links| + m * L * n) per pair, for
+    L = max_phrase_len, plus the size of the occurrences it emits.
     """
     if max_phrase_len < 1:
         raise ValueError(f"max_phrase_len must be >= 1, got {max_phrase_len}")
@@ -87,37 +92,54 @@ def extract_occurrences(
             f"but the pair is {n}x{m}"
         )
     links = alignment.links
-    src_aligned = {i for i, _ in links}
+    by_target: list[list[Link]] = [[] for _ in range(m)]
+    # Unaligned source positions get the empty extent (m, -1), which never
+    # leaks.
+    first_tgt = [m] * n
+    last_tgt = [-1] * n
+    for link in links:
+        i, j = link
+        by_target[j].append(link)
+        if j < first_tgt[i]:
+            first_tgt[i] = j
+        if j > last_tgt[i]:
+            last_tgt[i] = j
     occurrences = []
     for j1 in range(m):
+        in_span: list[Link] = []
+        i1, i2 = n, -1
         for j2 in range(j1, min(j1 + max_phrase_len, m)):
-            in_span = [(i, j) for (i, j) in links if j1 <= j <= j2]
+            column = by_target[j2]
+            in_span += column
+            for i, _ in column:
+                if i < i1:
+                    i1 = i
+                if i > i2:
+                    i2 = i
             if not in_span:
                 continue
-            i1 = min(i for i, _ in in_span)
-            i2 = max(i for i, _ in in_span)
-            if any(i1 <= i <= i2 and not (j1 <= j <= j2) for i, j in links):
+            if min(first_tgt[i1 : i2 + 1]) < j1:
+                break  # a link left of j1 stays inside every longer span's projection
+            if max(last_tgt[i1 : i2 + 1]) > j2:
                 continue
             lo = i1
-            while lo > 0 and (lo - 1) not in src_aligned:
+            while lo > 0 and last_tgt[lo - 1] < 0:
                 lo -= 1
             hi = i2
-            while hi < n - 1 and (hi + 1) not in src_aligned:
+            while hi < n - 1 and last_tgt[hi + 1] < 0:
                 hi += 1
+            # The box is consistent and its extensions are unaligned, so
+            # in_span holds exactly the links inside every box emitted here.
             for s1 in range(lo, i1 + 1):
-                for s2 in range(i2, hi + 1):
-                    if s2 - s1 + 1 > max_phrase_len:
-                        continue
+                for s2 in range(i2, min(hi, s1 + max_phrase_len - 1) + 1):
                     occurrences.append(
-                        _occurrence(src, tgt, links, n, m, s1, s2, j1, j2)
+                        _occurrence(src, tgt, links, in_span, n, m, s1, s2, j1, j2)
                     )
     return occurrences
 
 
-def _occurrence(src, tgt, links, n, m, s1, s2, j1, j2) -> PhraseOccurrence:
-    internal = frozenset(
-        (i - s1, j - j1) for (i, j) in links if s1 <= i <= s2 and j1 <= j <= j2
-    )
+def _occurrence(src, tgt, links, in_box, n, m, s1, s2, j1, j2) -> PhraseOccurrence:
+    internal = frozenset([(i - s1, j - j1) for i, j in in_box])
     # Orientation against the previous target phrase: monotone when the
     # diagonal corner continues the alignment (the sentence corners count),
     # swap when the anti-diagonal corner does, discontinuous otherwise.
@@ -160,24 +182,24 @@ def extract_corpus(
 
 def _lexical_weight(
     produced: tuple[str, ...],
-    producing: tuple[str, ...],
-    links: frozenset[Link],
-    ttable: TTable,
+    aligned_to: list[list[int]],
+    producer_rows: list[Mapping[str, float]],
+    null_row: Mapping[str, float],
 ) -> float:
-    """Koehn lexical weight: for each produced word, average t over its
-    aligned producing words, or t(word|NULL) when unaligned; multiply."""
-    by_produced: defaultdict[int, list[int]] = defaultdict(list)
-    for i, j in links:
-        by_produced[j].append(i)
+    """Koehn lexical weight: for each produced word, average t over the
+    producing words it is aligned to (aligned_to[k] lists their positions,
+    producer_rows their t-table rows), or take t(word|NULL) when it is
+    unaligned; multiply in produced-position order."""
     weight = 1.0
-    for j, word in enumerate(produced):
-        aligned = by_produced.get(j)
-        if aligned:
-            weight *= math.fsum(ttable.prob(producing[i], word) for i in aligned) / len(
+    for word, aligned in zip(produced, aligned_to):
+        if not aligned:
+            weight *= null_row.get(word, 0.0)
+        elif len(aligned) == 1:
+            weight *= producer_rows[aligned[0]].get(word, 0.0)  # == fsum([t]) / 1
+        else:
+            weight *= math.fsum(producer_rows[i].get(word, 0.0) for i in aligned) / len(
                 aligned
             )
-        else:
-            weight *= ttable.prob(NULL_WORD, word)
     return weight
 
 
@@ -192,26 +214,41 @@ def score_phrases(
     Lexical weights take, per pair and direction, the maximum over the
     distinct internal alignments observed for that pair.
     """
-    pair_counts: Counter = Counter()
-    src_counts: Counter = Counter()
-    tgt_counts: Counter = Counter()
-    alignments: defaultdict[tuple, set] = defaultdict(set)
+    # (src, tgt) -> [occurrence count, distinct internal link sets]
+    pairs: dict[tuple, list] = {}
     for occ in occurrences:
         key = (occ.phrase.src, occ.phrase.tgt)
-        pair_counts[key] += 1
-        src_counts[occ.phrase.src] += 1
-        tgt_counts[occ.phrase.tgt] += 1
-        alignments[key].add(occ.links)
+        seen = pairs.get(key)
+        if seen is None:
+            pairs[key] = [1, {occ.links}]
+        else:
+            seen[0] += 1
+            seen[1].add(occ.links)
+    src_counts: defaultdict[tuple, int] = defaultdict(int)
+    tgt_counts: defaultdict[tuple, int] = defaultdict(int)
+    for (src, tgt), (count, _) in pairs.items():
+        src_counts[src] += count
+        tgt_counts[tgt] += count
+    null_fwd = ttable_forward.row(NULL_WORD)
+    null_rev = ttable_reverse.row(NULL_WORD)
     entries: dict[tuple[str, ...], dict[tuple[str, ...], PhraseScores]] = defaultdict(dict)
-    for (src, tgt), count in pair_counts.items():
+    for (src, tgt), (count, link_sets) in pairs.items():
+        src_rows = [ttable_forward.row(w) for w in src]
+        tgt_rows = [ttable_reverse.row(w) for w in tgt]
         best_ts = 0.0
         best_st = 0.0
-        for links in sorted(alignments[(src, tgt)], key=sorted):
-            best_ts = max(best_ts, _lexical_weight(tgt, src, links, ttable_forward))
-            transposed = frozenset((j, i) for i, j in links)
-            best_st = max(
-                best_st, _lexical_weight(src, tgt, transposed, ttable_reverse)
-            )
+        for links in link_sets:
+            by_src: list[list[int]] = [[] for _ in src]
+            by_tgt: list[list[int]] = [[] for _ in tgt]
+            for i, j in links:
+                by_src[i].append(j)
+                by_tgt[j].append(i)
+            lex_ts = _lexical_weight(tgt, by_tgt, src_rows, null_fwd)
+            if lex_ts > best_ts:
+                best_ts = lex_ts
+            lex_st = _lexical_weight(src, by_src, tgt_rows, null_rev)
+            if lex_st > best_st:
+                best_st = lex_st
         entries[src][tgt] = PhraseScores(
             phrase_st=count / tgt_counts[tgt],
             lex_st=best_st,
@@ -221,6 +258,9 @@ def score_phrases(
     return PhraseTable(dict(entries))
 
 
+_ORIENT_INDEX = {MONO: 0, SWAP: 1, DISC: 2}
+
+
 def train_reordering(
     occurrences: Iterable[PhraseOccurrence], smoothing: float = 0.5
 ) -> "ReorderingTable":
@@ -228,24 +268,31 @@ def train_reordering(
     smoothed: P(o) = (count_o + sigma) / (count_total + 3*sigma)."""
     if smoothing < 0:
         raise ValueError(f"smoothing must be >= 0, got {smoothing}")
-    fwd_counts: defaultdict[tuple, Counter] = defaultdict(Counter)
-    bwd_counts: defaultdict[tuple, Counter] = defaultdict(Counter)
+    # (src, tgt) -> forward mono, swap, disc counts, then backward ones
+    counts: dict[tuple, list[int]] = {}
     for occ in occurrences:
         key = (occ.phrase.src, occ.phrase.tgt)
-        fwd_counts[key][occ.prev_orient] += 1
-        bwd_counts[key][occ.next_orient] += 1
-    entries = {}
-    for key in fwd_counts:
-        entries[key] = ReorderingEntry(
-            forward=_smooth_triple(fwd_counts[key], smoothing),
-            backward=_smooth_triple(bwd_counts[key], smoothing),
-        )
-    return ReorderingTable(entries)
+        c = counts.get(key)
+        if c is None:
+            c = counts[key] = [0, 0, 0, 0, 0, 0]
+        c[_ORIENT_INDEX[occ.prev_orient]] += 1
+        c[3 + _ORIENT_INDEX[occ.next_orient]] += 1
+    return ReorderingTable(
+        {
+            key: ReorderingEntry(
+                forward=_smooth_triple(c[0], c[1], c[2], smoothing),
+                backward=_smooth_triple(c[3], c[4], c[5], smoothing),
+            )
+            for key, c in counts.items()
+        }
+    )
 
 
-def _smooth_triple(counts: Counter, sigma: float) -> tuple[float, float, float]:
-    total = sum(counts.values()) + 3 * sigma
-    return tuple((counts.get(o, 0) + sigma) / total for o in ORIENTATIONS)
+def _smooth_triple(
+    mono: int, swap: int, disc: int, sigma: float
+) -> tuple[float, float, float]:
+    total = (mono + swap + disc) + 3 * sigma
+    return ((mono + sigma) / total, (swap + sigma) / total, (disc + sigma) / total)
 
 
 class PhraseTable:
@@ -325,8 +372,10 @@ class ReorderingTable:
         with open(path, "w", encoding="utf-8") as fh:
             for src, tgt in sorted(self.entries):
                 e = self.entries[(src, tgt)]
-                nums = " ".join(f"{p:.12g}" for p in e.forward + e.backward)
-                fh.write(f"{' '.join(src)} ||| {' '.join(tgt)} ||| {nums}\n")
+                fh.write(
+                    "%s ||| %s ||| %.12g %.12g %.12g %.12g %.12g %.12g\n"
+                    % (" ".join(src), " ".join(tgt), *e.forward, *e.backward)
+                )
 
     @classmethod
     def read(cls, path: str) -> "ReorderingTable":

@@ -10,15 +10,16 @@ config so a trained system can be shipped as a directory of flat files.
 
 from __future__ import annotations
 
+import gc
 import logging
 import os
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 from .base import BaseEstimator, DataError, check_is_fitted
-from .align import IBM1Aligner, symmetrize, viterbi_align, write_pharaoh
+from .align import IBM1Aligner, _as_pairs, symmetrize, viterbi_align, write_pharaoh
 from .config import RunConfig, read_config, write_config
-from .corpus import ParallelCorpus, SentencePair
+from .corpus import ParallelCorpus
 from .decoder import BeamDecoder, DecodeResult, FeatureWeights
 from .lm import NGramLanguageModel, read_arpa
 from .phrases import (
@@ -50,12 +51,6 @@ def _stage(name: str):
         except Exception:
             wrapped = RuntimeError(f"{name}: {exc}")
         raise wrapped from exc
-
-
-def _as_pairs(corpus) -> list[SentencePair]:
-    if isinstance(corpus, ParallelCorpus):
-        return list(corpus.pairs)
-    return [SentencePair(tuple(s), tuple(t)) for s, t in corpus]
 
 
 class PhraseBasedTranslator(BaseEstimator):
@@ -93,6 +88,24 @@ class PhraseBasedTranslator(BaseEstimator):
         self.weights = weights
 
     def fit(self, corpus: ParallelCorpus | Iterable) -> "PhraseBasedTranslator":
+        """Train every model on a tokenized parallel corpus.
+
+        The cyclic garbage collector is paused while training runs and
+        restored afterwards (left off if the caller had turned it off).
+        Training keeps about a million containers alive at once (link
+        sets, phrase tuples, t-table rows), which every collection would
+        rescan, yet it creates no reference cycles: reference counting
+        alone frees what it drops.
+        """
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._fit(corpus)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _fit(self, corpus: ParallelCorpus | Iterable) -> "PhraseBasedTranslator":
         pairs = _as_pairs(corpus)
         if not pairs:
             raise DataError("cannot train on an empty corpus")

@@ -10,10 +10,21 @@ import math
 from collections import Counter, defaultdict
 
 from phraseforge.align import AlignmentMatrix
-from phraseforge.corpus import BOS, EOS, NULL_WORD, UNK
+from phraseforge.corpus import BOS, EOS, NULL_WORD, UNK, Vocabulary
 from phraseforge.decoder import FeatureWeights, build_options
 from phraseforge.lm import NGramLanguageModel
-from phraseforge.phrases import PhraseScores, PhraseTable, ReorderingEntry, ReorderingTable
+from phraseforge.phrases import (
+    DISC,
+    MONO,
+    ORIENTATIONS,
+    SWAP,
+    PhraseOccurrence,
+    PhrasePair,
+    PhraseScores,
+    PhraseTable,
+    ReorderingEntry,
+    ReorderingTable,
+)
 
 
 # -- language model -----------------------------------------------------
@@ -123,6 +134,47 @@ def dense_em(pairs, iterations):
     return t, history
 
 
+def sparse_em(pairs, iterations):
+    """Model 1 EM over vocabulary ids, looking every t(f|e) and every
+    expected count up afresh, with the package's accumulation order (pair,
+    then target word, then source word): the package's EM must reproduce
+    it float for float. Returns ({source word: {target word: prob}},
+    per-iteration log-likelihood)."""
+    src_vocab = Vocabulary()
+    tgt_vocab = Vocabulary()
+    encoded = [
+        ([0] + [src_vocab.add(w) for w in src], [tgt_vocab.add(w) for w in tgt])
+        for src, tgt in pairs
+    ]
+    uniform = 1.0 / len({f for _, tgt in encoded for f in tgt})
+    table = defaultdict(dict)
+    for src_ids, tgt_ids in encoded:
+        for e in src_ids:
+            for f in tgt_ids:
+                table[e][f] = uniform
+    history = []
+    for _ in range(iterations):
+        counts = defaultdict(lambda: defaultdict(float))
+        loglik = 0.0
+        for src_ids, tgt_ids in encoded:
+            loglik -= len(tgt_ids) * math.log(len(src_ids))
+            for f in tgt_ids:
+                z = math.fsum(table[e][f] for e in src_ids)
+                loglik += math.log(z) if z > 0.0 else float("-inf")
+                for e in src_ids:
+                    counts[e][f] += table[e][f] / z
+        history.append(loglik)
+        table = {}
+        for e, row in counts.items():
+            total = math.fsum(row.values())
+            table[e] = {f: c / total for f, c in row.items()}
+    rows = {
+        src_vocab.token(e): {tgt_vocab.token(f): p for f, p in row.items()}
+        for e, row in table.items()
+    }
+    return rows, history
+
+
 # -- phrase extraction ----------------------------------------------------
 
 
@@ -146,6 +198,125 @@ def consistent_boxes(n, m, links, max_len):
                     if inside and not leak:
                         boxes.add(((s1, s2), (j1, j2)))
     return boxes
+
+
+def rescanning_extract(pair, alignment, max_len):
+    """Phrase occurrences in the package's order, found by rescanning every
+    link for each target span, each leak check and each occurrence."""
+    src, tgt = tuple(pair[0]), tuple(pair[1])
+    n, m = len(src), len(tgt)
+    links = alignment.links
+    src_aligned = {i for i, _ in links}
+    occurrences = []
+    for j1 in range(m):
+        for j2 in range(j1, min(j1 + max_len, m)):
+            in_span = [(i, j) for (i, j) in links if j1 <= j <= j2]
+            if not in_span:
+                continue
+            i1 = min(i for i, _ in in_span)
+            i2 = max(i for i, _ in in_span)
+            if any(i1 <= i <= i2 and not (j1 <= j <= j2) for i, j in links):
+                continue
+            lo = i1
+            while lo > 0 and (lo - 1) not in src_aligned:
+                lo -= 1
+            hi = i2
+            while hi < n - 1 and (hi + 1) not in src_aligned:
+                hi += 1
+            for s1 in range(lo, i1 + 1):
+                for s2 in range(i2, hi + 1):
+                    if s2 - s1 + 1 > max_len:
+                        continue
+                    internal = frozenset(
+                        (i - s1, j - j1)
+                        for (i, j) in links
+                        if s1 <= i <= s2 and j1 <= j <= j2
+                    )
+                    if (s1 - 1, j1 - 1) in links or (s1 == 0 and j1 == 0):
+                        prev = MONO
+                    elif (s2 + 1, j1 - 1) in links:
+                        prev = SWAP
+                    else:
+                        prev = DISC
+                    if (s2 + 1, j2 + 1) in links or (s2 == n - 1 and j2 == m - 1):
+                        nxt = MONO
+                    elif (s1 - 1, j2 + 1) in links:
+                        nxt = SWAP
+                    else:
+                        nxt = DISC
+                    phrase = PhrasePair(
+                        (s1, s2), (j1, j2), src[s1:s2 + 1], tgt[j1:j2 + 1]
+                    )
+                    occurrences.append(PhraseOccurrence(phrase, internal, prev, nxt))
+    return occurrences
+
+
+def _counting_lexical_weight(produced, producing, links, ttable):
+    by_produced = defaultdict(list)
+    for i, j in links:
+        by_produced[j].append(i)
+    weight = 1.0
+    for j, word in enumerate(produced):
+        aligned = by_produced.get(j)
+        if aligned:
+            weight *= math.fsum(ttable.prob(producing[i], word) for i in aligned) / len(
+                aligned
+            )
+        else:
+            weight *= ttable.prob(NULL_WORD, word)
+    return weight
+
+
+def counting_score(occurrences, ttable_forward, ttable_reverse):
+    """Phrase scores from three separate counters, with each link set's
+    lexical weights recomputed from the set (and its transpose) through
+    TTable.prob, the link sets visited in sorted order."""
+    pair_counts = Counter()
+    src_counts = Counter()
+    tgt_counts = Counter()
+    alignments = defaultdict(set)
+    for occ in occurrences:
+        key = (occ.phrase.src, occ.phrase.tgt)
+        pair_counts[key] += 1
+        src_counts[occ.phrase.src] += 1
+        tgt_counts[occ.phrase.tgt] += 1
+        alignments[key].add(occ.links)
+    entries = defaultdict(dict)
+    for (src, tgt), count in pair_counts.items():
+        best_ts = 0.0
+        best_st = 0.0
+        for links in sorted(alignments[(src, tgt)], key=sorted):
+            best_ts = max(best_ts, _counting_lexical_weight(tgt, src, links, ttable_forward))
+            transposed = frozenset((j, i) for i, j in links)
+            best_st = max(
+                best_st, _counting_lexical_weight(src, tgt, transposed, ttable_reverse)
+            )
+        entries[src][tgt] = PhraseScores(
+            phrase_st=count / tgt_counts[tgt],
+            lex_st=best_st,
+            phrase_ts=count / src_counts[src],
+            lex_ts=best_ts,
+        )
+    return PhraseTable(dict(entries))
+
+
+def counting_reordering(occurrences, smoothing):
+    """Orientation distributions from one Counter per pair and direction."""
+    fwd_counts = defaultdict(Counter)
+    bwd_counts = defaultdict(Counter)
+    for occ in occurrences:
+        key = (occ.phrase.src, occ.phrase.tgt)
+        fwd_counts[key][occ.prev_orient] += 1
+        bwd_counts[key][occ.next_orient] += 1
+
+    def smooth(counts):
+        total = sum(counts.values()) + 3 * smoothing
+        return tuple((counts.get(o, 0) + smoothing) / total for o in ORIENTATIONS)
+
+    return ReorderingTable({
+        key: ReorderingEntry(forward=smooth(fwd_counts[key]), backward=smooth(bwd_counts[key]))
+        for key in fwd_counts
+    })
 
 
 # -- decoding -------------------------------------------------------------

@@ -15,15 +15,10 @@ import pytest
 from phraseforge.align import read_pharaoh
 from phraseforge.cli import main
 from phraseforge.config import read_config
-from phraseforge.decoder import FEATURE_NAMES, FeatureWeights
+from phraseforge.decoder import FEATURE_NAMES, BeamDecoder, DecodeError, FeatureWeights
 from phraseforge.lm import read_arpa
 from phraseforge.phrases import PhraseTable, ReorderingTable
 from phraseforge.translator import PhraseBasedTranslator
-
-
-@pytest.fixture(autouse=True)
-def _no_thread_env(monkeypatch):
-    monkeypatch.delenv("PHRASEFORGE_THREADS", raising=False)
 
 
 def write_lines(path, lines):
@@ -338,32 +333,40 @@ def test_translate_nbest_skips_empty_lines(trained, capsys, monkeypatch):
         assert line.startswith("1 ||| ")
 
 
-def test_translate_threads_preserve_input_order(trained, capsys, monkeypatch):
-    sources = [" ".join(src) for src, _ in trained.pairs[:8]]
-    stdin = "".join(s + "\n" for s in sources)
-    code, serial, _ = run(
-        capsys, ["translate", "--config", trained.config],
-        stdin=stdin, monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    monkeypatch.setenv("PHRASEFORGE_THREADS", "4")
-    code, threaded, _ = run(
-        capsys, ["translate", "--config", trained.config],
-        stdin=stdin, monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    assert threaded == serial
+def fail_on(monkeypatch, method, source):
+    """Make BeamDecoder.<method> raise DecodeError for one source sentence."""
+    real = getattr(BeamDecoder, method)
+
+    def patched(self, tokens, *args):
+        if tuple(tokens) == source:
+            raise DecodeError("forced failure")
+        return real(self, tokens, *args)
+
+    monkeypatch.setattr(BeamDecoder, method, patched)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_translate_rejects_bad_thread_counts(trained, capsys, monkeypatch, value):
-    monkeypatch.setenv("PHRASEFORGE_THREADS", value)
-    code, _, stderr = run(
+def test_translate_keeps_going_past_an_undecodable_line(trained, capsys, monkeypatch):
+    fail_on(monkeypatch, "decode", ("s1",))
+    code, stdout, stderr = run(
         capsys, ["translate", "--config", trained.config],
-        stdin="s0\ns1\n", monkeypatch=monkeypatch,
+        stdin="s0\ns1\ns2 s0\n", monkeypatch=monkeypatch,
     )
-    assert code == 1
-    assert "PHRASEFORGE_THREADS" in stderr
+    assert code == 2
+    assert stdout == "t0\n\nt2 t0\n"
+    assert "line 2" in stderr and "forced failure" in stderr
+
+
+def test_translate_nbest_skips_an_undecodable_line(trained, capsys, monkeypatch):
+    fail_on(monkeypatch, "nbest", ("s1",))
+    code, stdout, stderr = run(
+        capsys, ["translate", "--config", trained.config, "--nbest", "2"],
+        stdin="s0\ns1\ns2\n", monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    indices = [line.split(" ||| ")[0] for line in stdout.splitlines()]
+    assert indices and indices == sorted(indices)
+    assert set(indices) == {"0", "2"}
+    assert "line 2" in stderr
 
 
 def test_translate_rejects_nonpositive_nbest(trained, capsys, monkeypatch):

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from helpers import ReferenceModel, random_pairs
-from phraseforge.base import DataError, ParseError
+from phraseforge.base import DataError, NotFittedError, ParseError
 from phraseforge.corpus import BOS, EOS, UNK
 from phraseforge.lm import NGramLanguageModel, count_ngrams, estimate, read_arpa
 
@@ -103,6 +103,11 @@ def test_add_k_smooths_unseen_unigrams():
 def test_closed_vocab_rejects_unseen_words():
     model = NGramLanguageModel(order=1, open_vocab=False).fit([("a",)])
     assert model.logprob("zzz") == NEG_INF
+
+
+def test_unfitted_model_rejects_queries():
+    with pytest.raises(NotFittedError, match="call fit"):
+        NGramLanguageModel().logprob("a")
 
 
 def test_fit_validates_parameters():

@@ -5,8 +5,15 @@ import random
 
 import pytest
 
-from helpers import consistent_boxes, random_alignment
-from phraseforge.align import AlignmentMatrix, TTable
+from helpers import (
+    consistent_boxes,
+    counting_reordering,
+    counting_score,
+    random_alignment,
+    rescanning_extract,
+    sparse_em,
+)
+from phraseforge.align import AlignmentMatrix, IBM1Aligner, TTable, symmetrize, viterbi_align
 from phraseforge.base import DataError, ParseError
 from phraseforge.corpus import NULL_WORD
 from phraseforge.phrases import (
@@ -390,3 +397,59 @@ def test_reordering_table_read_rejects_bad_lines(tmp_path, line, message):
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=message):
         ReorderingTable.read(str(path))
+
+
+# -- agreement with the rescanning references ----------------------------------
+
+
+def test_training_steps_match_their_rescanning_references():
+    """EM, extraction, scoring and reordering agree exactly, float for
+    float and occurrence by occurrence, with straightforward versions that
+    rescan the links and count in separate passes."""
+    rng = random.Random(7021)
+    for _ in range(40):
+        # small vocabularies make phrase pairs recur with other alignments
+        src_vocab = ["s%d" % k for k in range(rng.randint(2, 6))]
+        tgt_vocab = ["t%d" % k for k in range(rng.randint(2, 6))]
+        pairs = [
+            (
+                tuple(rng.choice(src_vocab) for _ in range(rng.randint(1, 15))),
+                tuple(rng.choice(tgt_vocab) for _ in range(rng.randint(1, 15))),
+            )
+            for _ in range(rng.randint(1, 6))
+        ]
+        iterations = rng.randint(1, 4)
+        forward = IBM1Aligner(iterations=iterations).fit(pairs)
+        reverse = IBM1Aligner(iterations=iterations).fit([(t, s) for s, t in pairs])
+        for aligner, data in ((forward, pairs), (reverse, [(t, s) for s, t in pairs])):
+            rows, history = sparse_em(data, iterations)
+            assert aligner.ttable_.rows() == rows
+            assert aligner.loglik_per_iteration_ == history
+
+        if rng.random() < 0.5:
+            density = rng.choice((0.05, 0.15, 0.3, 0.5))
+            alignments = [random_alignment(rng, len(s), len(t), density) for s, t in pairs]
+        else:
+            alignments = [
+                symmetrize(
+                    viterbi_align(forward.ttable_, pair, "forward"),
+                    viterbi_align(reverse.ttable_, pair, "reverse"),
+                )
+                for pair in pairs
+            ]
+        max_len = rng.randint(1, 7)
+        occurrences = []
+        for pair, alignment in zip(pairs, alignments):
+            found = extract_occurrences(pair, alignment, max_len)
+            assert found == rescanning_extract(pair, alignment, max_len)
+            occurrences += found
+
+        table = score_phrases(occurrences, forward.ttable_, reverse.ttable_)
+        assert table.entries == counting_score(
+            occurrences, forward.ttable_, reverse.ttable_
+        ).entries
+        smoothing = rng.choice((0, 0.5, 1.0, 2.5))
+        assert (
+            train_reordering(occurrences, smoothing).entries
+            == counting_reordering(occurrences, smoothing).entries
+        )

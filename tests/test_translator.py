@@ -1,5 +1,6 @@
 """The end-to-end estimator: train, translate, save, load."""
 
+import gc
 import random
 import shutil
 
@@ -139,3 +140,19 @@ def test_estimator_params_reflect_the_constructor():
     assert params["beam_size"] is None
     model.set_params(order=4)
     assert model.order == 4
+
+
+def test_fit_leaves_the_garbage_collector_as_it_found_it():
+    corpus = mapped_corpus(random.Random(5))
+    assert gc.isenabled()
+    try:
+        PhraseBasedTranslator().fit(corpus)
+        assert gc.isenabled()
+        with pytest.raises(DataError, match="word-alignment"):
+            PhraseBasedTranslator().fit([(("a",), ("b",)), ((), ("c",))])
+        assert gc.isenabled()
+        gc.disable()
+        PhraseBasedTranslator().fit(corpus)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
