@@ -14,8 +14,8 @@ from .base import (
     NotFittedError,
     ParseError,
 )
-from .corpus import ParallelCorpus, SentencePair, Vocabulary, tokenize
-from .lm import NGramLanguageModel, count_ngrams, estimate, read_arpa
+from .corpus import ParallelCorpus, SentencePair, tokenize
+from .lm import NGramLanguageModel, count_ngrams, read_arpa
 from .align import (
     AlignmentMatrix,
     IBM1Aligner,
@@ -80,13 +80,11 @@ __all__ = [
     "SentencePair",
     "TTable",
     "TranslationOption",
-    "Vocabulary",
     "bleu",
     "build_options",
     "corpus_loglik",
     "count_ngrams",
     "error_rate",
-    "estimate",
     "extract_phrases",
     "optimize_weights",
     "pool_bleu",

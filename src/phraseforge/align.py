@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .base import BaseEstimator, DataError, ParseError, check_is_fitted
+from .base import BaseEstimator, DataError, ParseError
 from .corpus import NULL_WORD, ParallelCorpus, SentencePair
 
 logger = logging.getLogger(__name__)
@@ -141,14 +141,6 @@ class IBM1Aligner(BaseEstimator):
         self.ttable_ = TTable(table)
         self.loglik_per_iteration_ = history
         return self
-
-    def align(self, pair: SentencePair | tuple) -> AlignmentMatrix:
-        check_is_fitted(self, "ttable_")
-        src, tgt = pair
-        return viterbi_align(self.ttable_, SentencePair(tuple(src), tuple(tgt)))
-
-    def predict(self, pairs) -> list[AlignmentMatrix]:
-        return [self.align(p) for p in _as_pairs(pairs)]
 
 
 def _as_pairs(pairs) -> list[SentencePair]:

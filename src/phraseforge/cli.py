@@ -5,11 +5,14 @@ rewrites its weights, translate and evaluate load models through it.
 translate is a line filter (stdin to stdout) so the toolkit composes
 with shell pipes.
 
-Exit codes: 0 success, 1 usage error, 2 data error (bad input files,
-malformed configs, undecodable input), 3 internal error. translate
-prints each line as soon as it is decoded; a line that cannot be decoded
-is logged to stderr and yields an empty line (no entries with --nbest),
-the other lines are still translated, and the exit code is 2.
+Exit codes: 0 success, 1 usage error (including a setting flag out of
+range, caught before any corpus or input is read), 2 data error (bad
+input files, malformed configs, undecodable input), 3 internal error.
+translate prints each line as soon as it is decoded; a line that cannot
+be decoded is logged to stderr and yields an empty line (no entries with
+--nbest), the other lines are still translated, and the exit code is 2.
+evaluate gives such a sentence an empty hypothesis, marks it ERROR, and
+still prints the report before exiting 2.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import os
 import sys
 
 from . import __version__
-from .base import CorpusError, DataError
-from .config import RunConfig, read_config, write_config
+from .base import ConfigError, CorpusError, DataError
+from .config import PARAM_KEYS, RunConfig, read_config, validate_config, write_config
 from .corpus import (
     ParallelCorpus,
     SentencePair,
@@ -38,7 +41,7 @@ from .corpus import (
 )
 from .decoder import FEATURE_NAMES, DecodeError
 from .metrics import report
-from .translator import PhraseBasedTranslator
+from .translator import SETTINGS, PhraseBasedTranslator
 from .tuning import MertTuner
 
 logger = logging.getLogger(__name__)
@@ -57,11 +60,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _limit(value: int | None) -> int | None:
-    """-1 on the command line means unlimited."""
-    if value is None or value < 0:
-        return None
-    return value
+def _apply_flags(args, base: RunConfig) -> RunConfig:
+    """base with the setting flags given on the command line applied and
+    validated; -1 lifts beam_size and distortion_limit. A setting out of
+    range is a usage error."""
+    given = {
+        key: getattr(args, key)
+        for key in PARAM_KEYS
+        if getattr(args, key, None) is not None
+    }
+    for key in ("beam_size", "distortion_limit"):
+        if given.get(key) == -1:
+            given[key] = None
+    config = dataclasses.replace(base, **given)
+    try:
+        validate_config(config)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from exc
+    return config
 
 
 # -- prepare -----------------------------------------------------------
@@ -132,33 +148,18 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    base = read_config(args.config) if args.config else RunConfig()
-
-    def pick(flag, fallback):
-        return flag if flag is not None else fallback
-
-    source_lang = args.source_lang or base.source_lang
-    target_lang = args.target_lang or base.target_lang
-    corpus_stem = args.corpus or base.resolve("train_stem")
+    config = _apply_flags(args, read_config(args.config) if args.config else RunConfig())
+    corpus_stem = args.corpus or config.resolve("train_stem")
     if corpus_stem is None:
         raise UsageError("--corpus is required (or a --config with train_stem)")
 
-    corpus = read_parallel(corpus_stem, source_lang, target_lang)
+    corpus = read_parallel(corpus_stem, config.source_lang, config.target_lang)
     model = PhraseBasedTranslator(
-        order=pick(args.order, base.order),
-        smoothing=pick(args.smoothing, base.smoothing),
-        add_k=pick(args.add_k, base.add_k),
-        em_iterations=pick(args.em_iters, base.em_iterations),
-        max_phrase_len=pick(args.max_phrase_len, base.max_phrase_len),
-        beam_size=_limit(pick(args.beam, base.beam_size)),
-        beam_threshold=pick(args.beam_threshold, base.beam_threshold),
-        distortion_limit=_limit(pick(args.distortion_limit, base.distortion_limit)),
-        options_per_span=base.options_per_span,
-        weights=base.weights if args.config else None,
+        weights=config.weights, **{name: getattr(config, name) for name in SETTINGS}
     )
     model.fit(corpus)
     config_path = model.save(
-        args.out, source_lang, target_lang, train_stem=corpus_stem
+        args.out, config.source_lang, config.target_lang, train_stem=corpus_stem
     )
     logger.info("trained on %d pairs", len(corpus))
     print(config_path)
@@ -200,11 +201,7 @@ def cmd_tune(args) -> int:
 def cmd_translate(args) -> int:
     if args.nbest is not None and args.nbest < 1:
         raise UsageError(f"--nbest must be >= 1, got {args.nbest}")
-    model = PhraseBasedTranslator.load(args.config)
-    if args.beam is not None:
-        model.decoder_.beam_size = _limit(args.beam)
-    if args.distortion_limit is not None:
-        model.decoder_.distortion_limit = _limit(args.distortion_limit)
+    model = PhraseBasedTranslator.load(_apply_flags(args, read_config(args.config)))
 
     def render(index: int, line: str) -> list[str]:
         if not line.strip():
@@ -273,11 +270,25 @@ def cmd_evaluate(args) -> int:
     testset = read_parallel(args.corpus, config.source_lang, config.target_lang)
     sources = [p.source for p in testset]
     references = [p.target for p in testset]
-    hypotheses = [model.translate(s) for s in sources]
     successes = _read_flags(args.success_file, len(sources)) if args.success_file else None
+    hypotheses = []
+    failed = set()
+    for index, source in enumerate(sources):
+        try:
+            hypotheses.append(model.translate(source))
+        except DecodeError as exc:
+            logger.error("line %d: %s", index + 1, exc)
+            failed.add(index)
+            hypotheses.append(())
+    if successes is not None:
+        # without flags an empty hypothesis already fails the exact match
+        successes = [ok and i not in failed for i, ok in enumerate(successes)]
     sys.stdout.write(
         report(sources, hypotheses, references, successes=successes, smooth=args.smooth)
     )
+    if failed:
+        logger.error("%d test sentence(s) could not be decoded", len(failed))
+        return 2
     return 0
 
 
@@ -321,9 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="language model order")
     p.add_argument("--smoothing", choices=("witten-bell", "add-k"))
     p.add_argument("--add-k", type=float, help="additive constant for add-k")
-    p.add_argument("--em-iters", type=int, help="Model 1 EM iterations")
+    p.add_argument(
+        "--em-iters", dest="em_iterations", type=int, help="Model 1 EM iterations"
+    )
     p.add_argument("--max-phrase-len", type=int)
-    p.add_argument("--beam", type=int, help="stack size (-1 = unlimited)")
+    p.add_argument("--beam", dest="beam_size", type=int, help="stack size (-1 = unlimited)")
     p.add_argument("--beam-threshold", type=float)
     p.add_argument("--distortion-limit", type=int, help="-1 = unlimited")
     p.set_defaults(func=cmd_train)
@@ -340,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="decode stdin to stdout, line by line")
     p.add_argument("--config", required=True)
     p.add_argument("--nbest", type=int, help="emit the N best derivations per line")
-    p.add_argument("--beam", type=int, help="override stack size (-1 = unlimited)")
+    p.add_argument(
+        "--beam", dest="beam_size", type=int, help="override stack size (-1 = unlimited)"
+    )
     p.add_argument("--distortion-limit", type=int, help="override (-1 = unlimited)")
     p.set_defaults(func=cmd_translate)
 

@@ -12,25 +12,13 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 from .base import ConfigError
 from .decoder import FEATURE_NAMES, FeatureWeights
 
 PATH_KEYS = ("train_stem", "lm", "phrase_table", "reordering_table")
-PARAM_KEYS = (
-    "source_lang",
-    "target_lang",
-    "order",
-    "smoothing",
-    "add_k",
-    "em_iterations",
-    "max_phrase_len",
-    "beam_size",
-    "beam_threshold",
-    "distortion_limit",
-    "options_per_span",
-)
 SMOOTHING_METHODS = ("witten-bell", "add-k")
 
 
@@ -67,36 +55,32 @@ class RunConfig:
         return replace(self, weights=weights)
 
 
-def _parse_value(section: str, key: str, raw: str, kind: str, path: str):
+# [params] holds every field between the paths and the weights, in
+# declaration order, each parsed as its annotated type.
+_TYPES = typing.get_type_hints(RunConfig)
+PARAM_KEYS = tuple(
+    f.name for f in fields(RunConfig) if f.name not in (*PATH_KEYS, "weights", "base_dir")
+)
+
+
+def _parse_value(section: str, key: str, raw: str, kind, path: str):
+    """raw as kind: str, int, float, or an optional type whose None is
+    written `none`."""
     raw = raw.strip()
+    optional = typing.get_args(kind)
+    if optional:
+        if raw.lower() == "none":
+            return None
+        kind = optional[0]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int_or_none":
-            return None if raw.lower() == "none" else int(raw)
+        return kind(raw)
     except ValueError:
-        pass
-    raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}", path=path)
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}", path=path) from None
 
 
-_PARAM_KINDS = {
-    "source_lang": "str",
-    "target_lang": "str",
-    "order": "int",
-    "smoothing": "str",
-    "add_k": "float",
-    "em_iterations": "int",
-    "max_phrase_len": "int",
-    "beam_size": "int_or_none",
-    "beam_threshold": "float",
-    "distortion_limit": "int_or_none",
-    "options_per_span": "int_or_none",
-}
-
-
-def _validate(config: RunConfig, path: str) -> None:
+def validate_config(config: RunConfig, path: str | None = None) -> None:
+    """Raise ConfigError unless every [params] setting is in range; path,
+    if given, names the file the settings came from."""
     if not config.source_lang or not config.target_lang:
         raise ConfigError("source_lang and target_lang must be non-empty", path=path)
     if config.smoothing not in SMOOTHING_METHODS:
@@ -168,14 +152,10 @@ def read_config(path: str) -> RunConfig:
             setattr(config, key, parser.get("paths", key).strip())
     if parser.has_section("params"):
         for key in parser.options("params"):
-            kind = _PARAM_KINDS.get(key)
-            if kind is None:
+            if key not in PARAM_KEYS:
                 raise ConfigError(f"[params] unknown key {key!r}", path=path)
             raw = parser.get("params", key)
-            if kind == "str":
-                setattr(config, key, raw.strip())
-            else:
-                setattr(config, key, _parse_value("params", key, raw, kind, path))
+            setattr(config, key, _parse_value("params", key, raw, _TYPES[key], path))
     if parser.has_section("weights"):
         keys = parser.options("weights")
         if sorted(keys) != sorted(FEATURE_NAMES):
@@ -188,11 +168,11 @@ def read_config(path: str) -> RunConfig:
                 detail.append(f"unknown {', '.join(extra)}")
             raise ConfigError(f"[weights] {'; '.join(detail)}", path=path)
         values = {
-            key: _parse_value("weights", key, parser.get("weights", key), "float", path)
+            key: _parse_value("weights", key, parser.get("weights", key), float, path)
             for key in keys
         }
         config.weights = FeatureWeights(**values)
-    _validate(config, path)
+    validate_config(config, path)
     _check_paths(config, path)
     return config
 

@@ -48,46 +48,11 @@ class ParallelCorpus:
         return iter(self.pairs)
 
 
-class Vocabulary:
-    """Bidirectional token <-> id map with reserved low ids.
-
-    Id 0 is the NULL alignment word; 1 and 2 are the <s>/</s> sentence
-    sentinels. Ids are assigned densely in first-seen order and never
-    reassigned.
-    """
-
-    def __init__(self) -> None:
-        self._token_to_id: dict[str, int] = {}
-        self._id_to_token: list[str] = []
-        for tok in (NULL_WORD, BOS, EOS):
-            self.add(tok)
-
-    def add(self, token: str) -> int:
-        tid = self._token_to_id.get(token)
-        if tid is None:
-            tid = len(self._id_to_token)
-            self._token_to_id[token] = tid
-            self._id_to_token.append(token)
-        return tid
-
-    def get(self, token: str) -> int | None:
-        return self._token_to_id.get(token)
-
-    def token(self, tid: int) -> str:
-        return self._id_to_token[tid]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
-    def __len__(self) -> int:
-        return len(self._id_to_token)
-
-
-def tokenize(raw: str, lang: str | None = None) -> tuple[str, ...]:
+def tokenize(raw: str) -> tuple[str, ...]:
     """Tokenize one raw line: NFC-normalize, detach punctuation, split.
 
-    `lang` is reserved for script-specific rules; the default detach set
-    covers Indic danda punctuation alongside the usual Latin marks.
+    The detach set covers Indic danda punctuation alongside the usual
+    Latin marks.
     Periods and commas flanked by digits on both sides stay attached.
     Raises CorpusError on lines with no tokens.
     """

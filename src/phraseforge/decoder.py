@@ -151,21 +151,19 @@ def build_options(
     phrase_table: PhraseTable,
     reordering_table: ReorderingTable | None = None,
     options_per_span: int | None = 20,
-    max_phrase_len: int | None = None,
 ) -> list[TranslationOption]:
     """Translation options for every source span, plus OOV copy-through.
 
     Spans with table entries get up to options_per_span options, best
     translation score first; any single word with no single-word entry
-    gets a copy-through option so full coverage is always possible.
+    gets a copy-through option so full coverage is always possible. Every
+    span is looked up: one longer than any source phrase simply misses.
     """
     n = len(tokens)
-    if max_phrase_len is None:
-        max_phrase_len = max(phrase_table.max_source_len(), 1)
     reo_active = reordering_table is not None
     options = []
     for start in range(n):
-        for end in range(start + 1, min(start + max_phrase_len, n) + 1):
+        for end in range(start + 1, n + 1):
             src = tokens[start:end]
             matches = phrase_table.lookup(src)
             if not matches:

@@ -287,20 +287,6 @@ class NGramLanguageModel(BaseEstimator):
         return model
 
 
-def estimate(
-    counts: NGramCounts,
-    smoothing: str = "witten-bell",
-    add_k: float = 0.5,
-    open_vocab: bool = True,
-) -> NGramLanguageModel:
-    """Estimate a model from pre-computed counts."""
-    model = NGramLanguageModel(
-        order=counts.order, smoothing=smoothing, add_k=add_k, open_vocab=open_vocab
-    )
-    model._estimate(counts)
-    return model
-
-
 def read_arpa(path: str) -> NGramLanguageModel:
     """Parse an ARPA file into a query-ready model.
 

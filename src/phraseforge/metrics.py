@@ -47,14 +47,12 @@ class BleuStats:
         )
 
     @classmethod
-    def zero(cls, max_n: int = MAX_ORDER) -> "BleuStats":
-        return cls((0,) * max_n, (0,) * max_n, 0, 0)
+    def zero(cls) -> "BleuStats":
+        return cls((0,) * MAX_ORDER, (0,) * MAX_ORDER, 0, 0)
 
 
 def sentence_stats(
-    hypothesis: Sequence[str],
-    references: Sequence[Sequence[str]],
-    max_n: int = MAX_ORDER,
+    hypothesis: Sequence[str], references: Sequence[Sequence[str]]
 ) -> BleuStats:
     """Clipped matches and totals for one hypothesis against its references."""
     hyp = tuple(hypothesis)
@@ -63,7 +61,7 @@ def sentence_stats(
         raise DataError("empty reference set")
     matched = []
     totals = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_ORDER + 1):
         hyp_counts = Counter(_ngrams(hyp, n))
         clipped = 0
         if hyp_counts:
@@ -134,7 +132,6 @@ def _as_reference_sets(references: Sequence) -> list[list[tuple[str, ...]]]:
 def bleu(
     hypotheses: Sequence[Sequence[str]],
     references: Sequence,
-    max_n: int = MAX_ORDER,
     smooth: bool = False,
 ) -> BleuReport:
     """Corpus BLEU of tokenized hypotheses against reference sets.
@@ -149,9 +146,9 @@ def bleu(
         )
     if not hypotheses:
         raise DataError("empty corpus")
-    total = BleuStats.zero(max_n)
+    total = BleuStats.zero()
     for hyp, refs in zip(hypotheses, _as_reference_sets(references)):
-        total = total + sentence_stats(hyp, refs, max_n)
+        total = total + sentence_stats(hyp, refs)
     value, precisions, bp = _score(total, smooth)
     return BleuReport(value, precisions, bp, total.hyp_length, total.ref_length, smooth)
 

@@ -307,9 +307,6 @@ class PhraseTable:
     def __len__(self) -> int:
         return sum(len(t) for t in self.entries.values())
 
-    def max_source_len(self) -> int:
-        return max((len(s) for s in self.entries), default=0)
-
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for src in sorted(self.entries):

@@ -68,7 +68,6 @@ class PhraseBasedTranslator(BaseEstimator):
         add_k: float = 0.5,
         em_iterations: int = 5,
         max_phrase_len: int = 7,
-        reordering_smoothing: float = 0.5,
         beam_size: int | None = 100,
         beam_threshold: float = 1e-5,
         distortion_limit: int | None = 6,
@@ -80,7 +79,6 @@ class PhraseBasedTranslator(BaseEstimator):
         self.add_k = add_k
         self.em_iterations = em_iterations
         self.max_phrase_len = max_phrase_len
-        self.reordering_smoothing = reordering_smoothing
         self.beam_size = beam_size
         self.beam_threshold = beam_threshold
         self.distortion_limit = distortion_limit
@@ -140,9 +138,7 @@ class PhraseBasedTranslator(BaseEstimator):
             )
 
         with _stage("reordering-model"):
-            self.reordering_table_ = train_reordering(
-                occurrences, smoothing=self.reordering_smoothing
-            )
+            self.reordering_table_ = train_reordering(occurrences)
 
         with _stage("decoder"):
             self.weights_ = self.weights if self.weights is not None else FeatureWeights()
@@ -202,17 +198,9 @@ class PhraseBasedTranslator(BaseEstimator):
             reordering_table=REORDERING_FILE if self.reordering_table_ is not None else None,
             source_lang=source_lang,
             target_lang=target_lang,
-            order=self.order,
-            smoothing=self.smoothing,
-            add_k=self.add_k,
-            em_iterations=self.em_iterations,
-            max_phrase_len=self.max_phrase_len,
-            beam_size=self.beam_size,
-            beam_threshold=self.beam_threshold,
-            distortion_limit=self.distortion_limit,
-            options_per_span=self.options_per_span,
             weights=self.weights_,
             base_dir=out_dir,
+            **{name: getattr(self, name) for name in SETTINGS},
         )
         config_path = os.path.join(out_dir, CONFIG_FILE)
         write_config(config, config_path)
@@ -227,16 +215,7 @@ class PhraseBasedTranslator(BaseEstimator):
         if config.lm is None or config.phrase_table is None:
             raise DataError("config must name both an lm and a phrase_table")
         model = cls(
-            order=config.order,
-            smoothing=config.smoothing,
-            add_k=config.add_k,
-            em_iterations=config.em_iterations,
-            max_phrase_len=config.max_phrase_len,
-            beam_size=config.beam_size,
-            beam_threshold=config.beam_threshold,
-            distortion_limit=config.distortion_limit,
-            options_per_span=config.options_per_span,
-            weights=config.weights,
+            weights=config.weights, **{name: getattr(config, name) for name in SETTINGS}
         )
         model.lm_ = read_arpa(config.resolve("lm"))
         model.phrase_table_ = PhraseTable.read(config.resolve("phrase_table"))
@@ -247,3 +226,8 @@ class PhraseBasedTranslator(BaseEstimator):
         model.weights_ = config.weights
         model.decoder_ = model._make_decoder()
         return model
+
+
+# Every constructor parameter but weights. Each is a [params] key of the
+# run config, which save() and load() copy by these names.
+SETTINGS = tuple(name for name in PhraseBasedTranslator._param_names() if name != "weights")

@@ -28,6 +28,8 @@ from .decoder import N_FEATURES, BeamDecoder, DecodeResult, FeatureWeights
 from .metrics import BleuStats, _as_reference_sets, sentence_stats, stats_bleu
 
 _EPS = 1e-12
+RANDOM_DIRECTIONS = 8  # seeded random directions per round, after the 9 axes
+MAX_ROUNDS = 20
 
 
 class NBestPool:
@@ -177,11 +179,10 @@ def optimize_weights(
     pool: NBestPool,
     initial: FeatureWeights | Iterable[float],
     seed: int = 0,
-    random_directions: int = 8,
-    max_rounds: int = 20,
 ) -> tuple[FeatureWeights, float]:
     """Exact line search over coordinate axes plus seeded random
-    directions, repeated until a full round yields no improvement.
+    directions, repeated until a full round yields no improvement (at
+    most MAX_ROUNDS rounds).
 
     Returns the best weights found and their pool BLEU; never worse on
     the pool than the initial point.
@@ -194,7 +195,7 @@ def optimize_weights(
             raise DataError(f"expected {N_FEATURES} weights, got {len(best)}")
     best_bleu = pool_bleu(pool, best)
     rng = random.Random(seed)
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         improved = False
         directions = [
             tuple(1.0 if j == i else 0.0 for j in range(N_FEATURES))
@@ -202,7 +203,7 @@ def optimize_weights(
         ]
         directions += [
             tuple(rng.gauss(0.0, 1.0) for _ in range(N_FEATURES))
-            for _ in range(random_directions)
+            for _ in range(RANDOM_DIRECTIONS)
         ]
         for direction in directions:
             found = _line_search(pool, best, direction)
@@ -230,17 +231,10 @@ class MertTuner(BaseEstimator):
     (before, after) pool-BLEU history.
     """
 
-    def __init__(
-        self,
-        iterations: int = 5,
-        nbest_size: int = 100,
-        seed: int = 0,
-        random_directions: int = 8,
-    ):
+    def __init__(self, iterations: int = 5, nbest_size: int = 100, seed: int = 0):
         self.iterations = iterations
         self.nbest_size = nbest_size
         self.seed = seed
-        self.random_directions = random_directions
 
     def fit(
         self,
@@ -265,12 +259,7 @@ class MertTuner(BaseEstimator):
             for i, pair in enumerate(pairs):
                 added += pool.add_results(i, decoder.nbest(pair[0], self.nbest_size))
             before = pool_bleu(pool, best)
-            best, after = optimize_weights(
-                pool,
-                best,
-                seed=self.seed + iteration,
-                random_directions=self.random_directions,
-            )
+            best, after = optimize_weights(pool, best, seed=self.seed + iteration)
             if after < before - 1e-9:
                 raise RuntimeError(
                     f"line search regressed on the pool: {before} -> {after}"

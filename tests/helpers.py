@@ -10,8 +10,8 @@ import math
 from collections import Counter, defaultdict
 
 from phraseforge.align import AlignmentMatrix
-from phraseforge.corpus import BOS, EOS, NULL_WORD, UNK, Vocabulary
-from phraseforge.decoder import FeatureWeights, build_options
+from phraseforge.corpus import BOS, EOS, NULL_WORD, UNK
+from phraseforge.decoder import OOV_LOGPROB, FeatureWeights, TranslationOption, build_options
 from phraseforge.lm import NGramLanguageModel
 from phraseforge.phrases import (
     DISC,
@@ -140,12 +140,13 @@ def sparse_em(pairs, iterations):
     then target word, then source word): the package's EM must reproduce
     it float for float. Returns ({source word: {target word: prob}},
     per-iteration log-likelihood)."""
-    src_vocab = Vocabulary()
-    tgt_vocab = Vocabulary()
-    encoded = [
-        ([0] + [src_vocab.add(w) for w in src], [tgt_vocab.add(w) for w in tgt])
-        for src, tgt in pairs
-    ]
+    src_index = {NULL_WORD: 0}
+    tgt_index = {}
+
+    def encode(ids, words):
+        return [ids.setdefault(w, len(ids)) for w in words]
+
+    encoded = [([0] + encode(src_index, src), encode(tgt_index, tgt)) for src, tgt in pairs]
     uniform = 1.0 / len({f for _, tgt in encoded for f in tgt})
     table = defaultdict(dict)
     for src_ids, tgt_ids in encoded:
@@ -168,8 +169,10 @@ def sparse_em(pairs, iterations):
         for e, row in counts.items():
             total = math.fsum(row.values())
             table[e] = {f: c / total for f, c in row.items()}
+    src_words = {i: w for w, i in src_index.items()}
+    tgt_words = {i: w for w, i in tgt_index.items()}
     rows = {
-        src_vocab.token(e): {tgt_vocab.token(f): p for f, p in row.items()}
+        src_words[e]: {tgt_words[f]: p for f, p in row.items()}
         for e, row in table.items()
     }
     return rows, history
@@ -320,6 +323,46 @@ def counting_reordering(occurrences, smoothing):
 
 
 # -- decoding -------------------------------------------------------------
+
+
+def capped_build_options(tokens, phrase_table, reordering_table=None, options_per_span=20):
+    """Option building that looks up only the spans no longer than the
+    table's longest source phrase, found by scanning the whole table."""
+    def log(p):
+        return math.log(p) if p > 0.0 else float("-inf")
+
+    uniform = (math.log(1.0 / 3.0),) * 3
+    n = len(tokens)
+    max_len = max(max((len(s) for s in phrase_table.entries), default=0), 1)
+    options = []
+    for start in range(n):
+        for end in range(start + 1, min(start + max_len, n) + 1):
+            src = tokens[start:end]
+            matches = phrase_table.lookup(src)
+            if not matches:
+                continue
+            ranked = sorted(matches.items(),
+                            key=lambda kv: (-math.fsum(log(p) for p in kv[1]), kv[0]))
+            if options_per_span is not None:
+                ranked = ranked[:options_per_span]
+            for tgt, scores in ranked:
+                fwd = bwd = None
+                if reordering_table is not None:
+                    entry = reordering_table.lookup(src, tgt)
+                    if entry is None:
+                        fwd = bwd = uniform
+                    else:
+                        fwd = tuple(log(p) for p in entry.forward)
+                        bwd = tuple(log(p) for p in entry.backward)
+                options.append(TranslationOption(
+                    start, end, src, tgt, tuple(log(p) for p in scores), fwd, bwd))
+    for i, word in enumerate(tokens):
+        if not phrase_table.lookup((word,)):
+            reo = uniform if reordering_table is not None else None
+            options.append(TranslationOption(
+                i, i + 1, (word,), (word,), (OOV_LOGPROB,) * 4, reo, reo, oov=True))
+    options.sort(key=lambda o: (o.start, o.end, o.tgt))
+    return options
 
 
 def score_path(opts, n, lm, weights, reordering):

@@ -16,7 +16,7 @@ from phraseforge.align import (
     viterbi_align,
     write_pharaoh,
 )
-from phraseforge.base import DataError, NotFittedError, ParseError
+from phraseforge.base import DataError, ParseError
 from phraseforge.corpus import NULL_WORD
 
 
@@ -94,18 +94,13 @@ def test_em_rejects_bad_input():
         IBM1Aligner(iterations=0).fit([(("a",), ("x",))])
 
 
-def test_align_requires_fit_first():
-    with pytest.raises(NotFittedError):
-        IBM1Aligner().align((("a",), ("x",)))
-
-
 def test_fitted_aligner_aligns_training_pairs():
     pairs = [(("a", "b"), ("x", "y")), (("a",), ("x",)), (("b",), ("y",))]
     aligner = IBM1Aligner(iterations=15).fit(pairs)
-    matrix = aligner.align((("a", "b"), ("x", "y")))
+    matrix = viterbi_align(aligner.ttable_, pairs[0])
     assert (matrix.n_source, matrix.m_target) == (2, 2)
     assert matrix.links == frozenset({(0, 0), (1, 1)})
-    assert aligner.predict(pairs[1:]) == [
+    assert [viterbi_align(aligner.ttable_, pair) for pair in pairs[1:]] == [
         AlignmentMatrix(1, 1, frozenset({(0, 0)})),
         AlignmentMatrix(1, 1, frozenset({(0, 0)})),
     ]

@@ -261,7 +261,42 @@ def test_train_without_corpus_is_a_usage_error(tmp_path, capsys):
     assert "--corpus" in stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--order", "9", "order"),
+        ("--em-iters", "0", "em_iterations"),
+        ("--max-phrase-len", "0", "max_phrase_len"),
+        ("--beam", "0", "beam_size"),
+        ("--beam-threshold", "2", "beam_threshold"),
+        ("--add-k", "-1", "add_k"),
+    ],
+)
+def test_train_rejects_a_bad_setting_before_reading_the_corpus(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "model"
+    code, stdout, stderr = run(
+        capsys,
+        ["train", "--corpus", str(tmp_path / "absent"), "--out", str(out), flag, value],
+    )
+    assert code == 1
+    assert stderr.startswith("usage error:") and key in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
 # translate
+
+
+def test_translate_rejects_a_bad_setting_before_reading_input(trained, capsys, monkeypatch):
+    class Unreadable(io.StringIO):
+        def __iter__(self):
+            raise AssertionError("input read")
+
+    monkeypatch.setattr(sys, "stdin", Unreadable())
+    code, stdout, stderr = run(capsys, ["translate", "--config", trained.config, "--beam", "0"])
+    assert code == 1
+    assert stderr.startswith("usage error:") and "beam_size" in stderr
+    assert stdout == ""
 
 
 def test_translate_plain_lines(trained, capsys, monkeypatch):
@@ -437,6 +472,23 @@ def test_evaluate_rejects_bad_success_files(trained, testset, tmp_path, capsys, 
     )
     assert code == 2
     assert "success flag" in stderr
+
+
+def test_evaluate_reports_past_an_undecodable_sentence(trained, testset, tmp_path, capsys, monkeypatch):
+    fail_on(monkeypatch, "decode", ("s1", "s2", "s3", "s4"))
+    flags = str(tmp_path / "flags")
+    write_lines(flags, ["1", "1", "1"])
+    code, stdout, stderr = run(
+        capsys,
+        ["evaluate", "--config", trained.config, "--corpus", testset,
+         "--success-file", flags],
+    )
+    assert code == 2
+    assert "line 2" in stderr and "forced failure" in stderr
+    rows = stdout.splitlines()
+    assert rows[2].split() == ["2", "s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4", "ERROR"]
+    assert rows[1].endswith("ok") and rows[3].endswith("ok")
+    assert "sentences: 3  successful: 2  unsuccessful: 1  error: 33.3%" in stdout
 
 
 def test_evaluate_smooth_flag(trained, testset, capsys):

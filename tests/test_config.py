@@ -53,16 +53,15 @@ def test_write_read_write_is_byte_identical(tmp_path):
 def test_written_file_is_canonically_ordered(tmp_path):
     path = str(tmp_path / "run.ini")
     write_config(RunConfig(), path)
-    text = open(path, encoding="utf-8").read()
-    assert text.startswith("[paths]\n\n[params]\nsource_lang = src\n")
-    assert "beam_size = 100" in text
-    assert "beam_threshold = 1e-05" in text
-    assert text.rstrip().endswith("distortion = 0.2")
-    assert [line for line in text.splitlines() if line.startswith("[")] == [
-        "[paths]",
-        "[params]",
-        "[weights]",
-    ]
+    with open(path, "rb") as fh:
+        assert fh.read() == (
+            b"[paths]\n\n[params]\nsource_lang = src\ntarget_lang = tgt\norder = 3\n"
+            b"smoothing = witten-bell\nadd_k = 0.5\nem_iterations = 5\nmax_phrase_len = 7\n"
+            b"beam_size = 100\nbeam_threshold = 1e-05\ndistortion_limit = 6\n"
+            b"options_per_span = 20\n\n[weights]\nlm = 0.5\nphrase_st = 0.2\nlex_st = 0.2\n"
+            b"phrase_ts = 0.2\nlex_ts = 0.2\nreordering = 0.3\nword_penalty = -1.0\n"
+            b"phrase_penalty = 0.2\ndistortion = 0.2\n"
+        )
 
 
 def test_none_round_trips_through_the_word_none(tmp_path):

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from phraseforge.base import CorpusError
 from phraseforge.corpus import (
-    BOS,
-    EOS,
-    NULL_WORD,
     ParallelCorpus,
     SentencePair,
-    Vocabulary,
     clean,
     learn_truecase,
     read_lines,
@@ -242,25 +238,6 @@ def test_read_write_lines_roundtrip(tmp_path):
     path = str(tmp_path / "f.txt")
     write_lines(path, ["one", "two three"])
     assert read_lines(path) == ["one", "two three"]
-
-
-# -- vocabulary -------------------------------------------------------------
-
-
-def test_vocabulary_reserves_low_ids():
-    vocab = Vocabulary()
-    assert vocab.get(NULL_WORD) == 0
-    assert vocab.get(BOS) == 1
-    assert vocab.get(EOS) == 2
-
-
-def test_vocabulary_assigns_dense_stable_ids():
-    vocab = Vocabulary()
-    first = vocab.add("কলম")
-    assert vocab.add("কলম") == first
-    assert vocab.token(first) == "কলম"
-    assert "কলম" in vocab
-    assert len(vocab) == 4
 
 
 def test_nfc_is_identity_on_canonical_text():

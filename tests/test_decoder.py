@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import all_derivations, random_decoder_instance, score_path
+from helpers import all_derivations, capped_build_options, random_decoder_instance, score_path
 from phraseforge.base import CorpusError
 from phraseforge.corpus import BOS
 from phraseforge.decoder import (
@@ -136,8 +136,24 @@ def test_build_options_output_is_sorted_and_max_len_respected():
         (o.start, o.end, o.tgt) for o in options
     )
     assert ("xy",) in {o.tgt for o in options}
-    capped = build_options(("a", "b"), table, max_phrase_len=1)
-    assert all(o.end - o.start == 1 for o in capped)
+    # no span longer than the longest source phrase yields an option
+    longer = build_options(("a", "b", "a", "b"), table)
+    assert max(o.end - o.start for o in longer) == 2
+    assert len(longer) == 2 * len(options)
+
+
+def test_build_options_matches_the_lookups_capped_at_the_longest_phrase():
+    rng = random.Random(29)
+    for _ in range(150):
+        tokens, table, reordering, *_ = random_decoder_instance(
+            rng, with_reordering=rng.random() < 0.5, max_sentence=8
+        )
+        # a longer input than the table was drawn from, with unseen words
+        sentence = tokens + tuple(rng.choice(tokens + ("zz",)) for _ in range(rng.randint(0, 6)))
+        for per_span in (None, 1, 3):
+            assert build_options(sentence, table, reordering, per_span) == (
+                capped_build_options(sentence, table, reordering, per_span)
+            )
 
 
 def test_option_mask_is_the_span_bitmask():

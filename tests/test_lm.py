@@ -13,7 +13,7 @@ import pytest
 from helpers import ReferenceModel, random_pairs
 from phraseforge.base import DataError, NotFittedError, ParseError
 from phraseforge.corpus import BOS, EOS, UNK
-from phraseforge.lm import NGramLanguageModel, count_ngrams, estimate, read_arpa
+from phraseforge.lm import NGramLanguageModel, count_ngrams, read_arpa
 
 NEG_INF = float("-inf")
 
@@ -223,13 +223,6 @@ def test_perplexity_rejects_empty_corpus():
     model = NGramLanguageModel(order=1).fit([("a",)])
     with pytest.raises(DataError):
         model.perplexity([])
-
-
-def test_estimate_from_counts_matches_fit():
-    sentences = [("a", "b"), ("b", "c", "a")]
-    fitted = NGramLanguageModel(order=2).fit(sentences)
-    counted = estimate(count_ngrams(sentences, 2))
-    assert counted.entries_ == fitted.entries_
 
 
 # -- ARPA serialization -------------------------------------------------------

@@ -7,9 +7,10 @@ import shutil
 import pytest
 
 from phraseforge.base import DataError, NotFittedError
+from phraseforge.config import PARAM_KEYS, RunConfig, read_config, validate_config
 from phraseforge.corpus import ParallelCorpus, SentencePair
 from phraseforge.decoder import DecodeResult, FeatureWeights
-from phraseforge.translator import PhraseBasedTranslator
+from phraseforge.translator import SETTINGS, PhraseBasedTranslator
 
 
 def identity_corpus(rng, n_pairs=10, vocab=("a", "b", "c", "d", "e", "f")):
@@ -114,6 +115,43 @@ def test_save_and_load_round_trip(tmp_path):
     assert loaded.weights_ == model.weights_
     assert loaded.order == 2
     assert getattr(loaded, "alignments_", None) is None
+
+
+def random_settings(rng):
+    return {
+        "order": rng.randint(1, 5),
+        "smoothing": rng.choice(("witten-bell", "add-k")),
+        "add_k": rng.choice((0.0, rng.uniform(0.0, 2.0))),
+        "em_iterations": rng.randint(1, 6),
+        "max_phrase_len": rng.randint(1, 7),
+        "beam_size": rng.choice((None, rng.randint(1, 200))),
+        "beam_threshold": rng.choice((0.0, 1.0, rng.random())),
+        "distortion_limit": rng.choice((None, rng.randint(0, 10))),
+        "options_per_span": rng.choice((None, rng.randint(1, 30))),
+    }
+
+
+def test_saved_settings_load_back_unchanged(tmp_path):
+    rng = random.Random(17)
+    pairs = mapped_corpus(rng, n_pairs=4)
+    for k in range(25):
+        settings = random_settings(rng)
+        validate_config(RunConfig(**settings))
+        weights = FeatureWeights.from_vector(rng.uniform(-2.0, 2.0) for _ in range(9))
+        model = PhraseBasedTranslator(weights=weights, **settings).fit(pairs)
+        config = read_config(model.save(str(tmp_path / f"m{k}"), "xx", "yy"))
+        assert (config.source_lang, config.target_lang) == ("xx", "yy")
+        assert PhraseBasedTranslator.load(config).get_params() == model.get_params()
+
+
+def test_translator_settings_are_the_run_config_params():
+    params = PhraseBasedTranslator().get_params()
+    assert set(SETTINGS) == set(params) - {"weights"}
+    assert set(SETTINGS) <= set(PARAM_KEYS)
+    defaults = RunConfig()
+    assert {name: params[name] for name in SETTINGS} == {
+        name: getattr(defaults, name) for name in SETTINGS
+    }
 
 
 def test_saved_model_directory_is_relocatable(tmp_path):
