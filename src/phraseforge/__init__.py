@@ -45,7 +45,7 @@ from .decoder import (
     build_options,
 )
 from .metrics import BleuReport, ErrorAnalysis, bleu, error_rate, report
-from .tuning import MertTuner, NBestPool, optimize_weights, pool_bleu, tune
+from .tuning import MertTuner, NBestPool, optimize_weights, pool_bleu
 from .config import RunConfig, read_config, write_config
 from .translator import PhraseBasedTranslator
 
@@ -96,7 +96,6 @@ __all__ = [
     "symmetrize",
     "tokenize",
     "train_reordering",
-    "tune",
     "viterbi_align",
     "write_config",
     "write_pharaoh",

@@ -77,9 +77,6 @@ class TTable:
     def rows(self) -> dict[str, dict[str, float]]:
         return {src: dict(row) for src, row in self._rows.items()}
 
-    def row_sums(self) -> dict[str, float]:
-        return {src: math.fsum(row.values()) for src, row in self._rows.items()}
-
 
 class IBM1Aligner(BaseEstimator):
     """IBM Model 1 trained by EM.

@@ -59,17 +59,6 @@ class BaseEstimator:
     def get_params(self) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
 
-    def set_params(self, **params):
-        valid = self._param_names()
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(
-                    f"unknown parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {valid}"
-                )
-            setattr(self, name, value)
-        return self
-
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"

@@ -5,9 +5,11 @@ rewrites its weights, translate and evaluate load models through it.
 translate is a line filter (stdin to stdout) so the toolkit composes
 with shell pipes.
 
-Exit codes: 0 success, 1 usage error (including a setting flag out of
-range, caught before any corpus or input is read), 2 data error (bad
-input files, malformed configs, undecodable input), 3 internal error.
+Exit codes: 0 success, 1 usage error (a setting flag out of range is
+caught before any corpus or input is read; a count flag such as
+prepare --max-len, tune --iterations or translate --nbest, before any
+file is opened), 2 data error (bad input files, malformed configs,
+undecodable input), 3 internal error.
 translate prints each line as soon as it is decoded; a line that cannot
 be decoded is logged to stderr and yields an empty line (no entries with
 --nbest), the other lines are still translated, and the exit code is 2.
@@ -32,6 +34,7 @@ from .corpus import (
     SentencePair,
     clean,
     learn_truecase,
+    read_line_pairs,
     read_lines,
     read_parallel,
     split,
@@ -60,6 +63,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(minimum, kind=int):
+    """An argparse type: the flag's value as kind, a usage error below
+    minimum."""
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {raw!r}") from None
+        if not value >= minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {raw}")
+        return value
+
+    return parse
+
+
 def _apply_flags(args, base: RunConfig) -> RunConfig:
     """base with the setting flags given on the command line applied and
     validated; -1 lifts beam_size and distortion_limit. A setting out of
@@ -84,18 +103,10 @@ def _apply_flags(args, base: RunConfig) -> RunConfig:
 
 
 def cmd_prepare(args) -> int:
-    src_path = f"{args.corpus}.{args.source_lang}"
-    tgt_path = f"{args.corpus}.{args.target_lang}"
-    src_lines = read_lines(src_path)
-    tgt_lines = read_lines(tgt_path)
-    if len(src_lines) != len(tgt_lines):
-        raise CorpusError(
-            f"line count mismatch: {src_path} has {len(src_lines)} lines, "
-            f"{tgt_path} has {len(tgt_lines)}"
-        )
+    lines = read_line_pairs(args.corpus, args.source_lang, args.target_lang)
     pairs = []
     dropped_empty = 0
-    for src_raw, tgt_raw in zip(src_lines, tgt_lines):
+    for src_raw, tgt_raw in lines:
         if not src_raw.strip() or not tgt_raw.strip():
             dropped_empty += 1
             continue
@@ -127,7 +138,7 @@ def cmd_prepare(args) -> int:
         "seed": args.seed,
         "max_len": args.max_len,
         "max_ratio": args.max_ratio,
-        "input_pairs": len(src_lines),
+        "input_pairs": len(lines),
         "dropped_empty": dropped_empty,
         "dropped_clean": dropped_clean,
         "train": len(train_part),
@@ -179,7 +190,7 @@ def cmd_tune(args) -> int:
         logger.info("tuning iteration %d: pool BLEU %.4f -> %.4f", i, before, after)
 
     out_path = args.out or args.config
-    tuned = config.with_weights(tuner.weights_)
+    tuned = dataclasses.replace(config, weights=tuner.weights_)
     out_dir = os.path.dirname(os.path.abspath(out_path))
     if out_dir != os.path.abspath(config.base_dir):
         # moving the config: pin the model paths so they stay valid
@@ -199,8 +210,6 @@ def cmd_tune(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    if args.nbest is not None and args.nbest < 1:
-        raise UsageError(f"--nbest must be >= 1, got {args.nbest}")
     model = PhraseBasedTranslator.load(_apply_flags(args, read_config(args.config)))
 
     def render(index: int, line: str) -> list[str]:
@@ -315,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source-lang", required=True, metavar="EXT")
     p.add_argument("--target-lang", required=True, metavar="EXT")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--train", type=int, help="train size (default: the remainder)")
-    p.add_argument("--test", type=int, help="test size (default: 7.5%% of survivors)")
-    p.add_argument("--tune", type=int, help="tune size (default: 7.5%% of survivors)")
+    p.add_argument("--train", type=_at_least(0), help="train size (default: the remainder)")
+    p.add_argument("--test", type=_at_least(0), help="test size (default: 7.5%% of survivors)")
+    p.add_argument("--tune", type=_at_least(0), help="tune size (default: 7.5%% of survivors)")
     p.add_argument("--seed", type=int, default=0, help="split shuffle seed")
-    p.add_argument("--max-len", type=int, default=80)
-    p.add_argument("--max-ratio", type=float, default=9.0)
+    p.add_argument("--max-len", type=_at_least(1), default=80)
+    p.add_argument("--max-ratio", type=_at_least(1.0, float), default=9.0)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train all models and write a run config")
@@ -344,15 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="optimize feature weights on a dev corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True, help="tokenized dev corpus stem")
-    p.add_argument("--iterations", type=int, default=5)
-    p.add_argument("--nbest", type=int, default=100, help="n-best size per sentence")
+    p.add_argument("--iterations", type=_at_least(1), default=5)
+    p.add_argument("--nbest", type=_at_least(1), default=100, help="n-best size per sentence")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the tuned config here (default: in place)")
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("translate", help="decode stdin to stdout, line by line")
     p.add_argument("--config", required=True)
-    p.add_argument("--nbest", type=int, help="emit the N best derivations per line")
+    p.add_argument("--nbest", type=_at_least(1), help="emit the N best derivations per line")
     p.add_argument(
         "--beam", dest="beam_size", type=int, help="override stack size (-1 = unlimited)"
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import os
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 from .base import ConfigError
 from .decoder import FEATURE_NAMES, FeatureWeights
@@ -50,9 +50,6 @@ class RunConfig:
         if value is None:
             return None
         return os.path.normpath(os.path.join(self.base_dir, value))
-
-    def with_weights(self, weights: FeatureWeights) -> "RunConfig":
-        return replace(self, weights=weights)
 
 
 # [params] holds every field between the paths and the weights, in

@@ -161,12 +161,9 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
-def read_parallel(stem: str, source_lang: str, target_lang: str) -> ParallelCorpus:
-    """Load a tokenized parallel corpus from <stem>.<source_lang>/<stem>.<target_lang>.
-
-    Lines hold space-separated tokens; both files must have the same number
-    of lines and no empty lines.
-    """
+def read_line_pairs(stem: str, source_lang: str, target_lang: str) -> list[tuple[str, str]]:
+    """The lines of <stem>.<source_lang> and <stem>.<target_lang>, paired
+    in order; CorpusError unless both files have the same number of lines."""
     src_path = f"{stem}.{source_lang}"
     tgt_path = f"{stem}.{target_lang}"
     src_lines = read_lines(src_path)
@@ -176,14 +173,24 @@ def read_parallel(stem: str, source_lang: str, target_lang: str) -> ParallelCorp
             f"line count mismatch: {src_path} has {len(src_lines)} lines, "
             f"{tgt_path} has {len(tgt_lines)}"
         )
+    return list(zip(src_lines, tgt_lines))
+
+
+def read_parallel(stem: str, source_lang: str, target_lang: str) -> ParallelCorpus:
+    """Load a tokenized parallel corpus from <stem>.<source_lang>/<stem>.<target_lang>.
+
+    Lines hold space-separated tokens; both files must have the same number
+    of lines and no empty lines.
+    """
+    lines = read_line_pairs(stem, source_lang, target_lang)
     pairs = []
-    for lineno, (src, tgt) in enumerate(zip(src_lines, tgt_lines), start=1):
+    for lineno, (src, tgt) in enumerate(lines, start=1):
         src_toks = tuple(unicodedata.normalize("NFC", src).split())
         tgt_toks = tuple(unicodedata.normalize("NFC", tgt).split())
         if not src_toks:
-            raise CorpusError(f"{src_path}:{lineno}: empty line")
+            raise CorpusError(f"{stem}.{source_lang}:{lineno}: empty line")
         if not tgt_toks:
-            raise CorpusError(f"{tgt_path}:{lineno}: empty line")
+            raise CorpusError(f"{stem}.{target_lang}:{lineno}: empty line")
         pairs.append(SentencePair(check_sentence(src_toks), check_sentence(tgt_toks)))
     return ParallelCorpus(pairs, source_lang, target_lang)
 

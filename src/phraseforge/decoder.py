@@ -114,9 +114,6 @@ class FeatureWeights:
     def dot(self, features: Iterable[float]) -> float:
         return math.fsum(w * f for w, f in zip(self.as_vector(), features, strict=True))
 
-    def scaled(self, factor: float) -> "FeatureWeights":
-        return FeatureWeights.from_vector(w * factor for w in self.as_vector())
-
 
 class TranslationOption(NamedTuple):
     """One way to translate the half-open source span [start, end)."""
@@ -300,7 +297,8 @@ class BeamDecoder:
     beam_size is the per-stack histogram limit (None = unlimited);
     beam_threshold is the relative score threshold (0 disables it);
     distortion_limit caps |phrase start - previous phrase end| (None =
-    unlimited). Ties anywhere break toward the lexicographically smaller
+    unlimited); options_per_span caps the options kept per source span
+    (None = all). Ties anywhere break toward the lexicographically smaller
     target, so decoding is deterministic. weights, beam_size and
     distortion_limit may be changed between calls; each search reads them
     afresh.
@@ -323,6 +321,8 @@ class BeamDecoder:
             raise ValueError(f"beam_threshold must be in [0, 1], got {beam_threshold}")
         if distortion_limit is not None and distortion_limit < 0:
             raise ValueError(f"distortion_limit must be >= 0 or None, got {distortion_limit}")
+        if options_per_span is not None and options_per_span < 1:
+            raise ValueError(f"options_per_span must be >= 1 or None, got {options_per_span}")
         self.phrase_table = phrase_table
         self.lm = lm
         self.reordering_table = reordering_table

@@ -321,33 +321,8 @@ class PhraseTable:
     @classmethod
     def read(cls, path: str) -> "PhraseTable":
         entries: dict = defaultdict(dict)
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split(" ||| ")
-                if len(fields) != 3:
-                    raise ParseError(
-                        f"expected 'src ||| tgt ||| scores', got {line!r}",
-                        path=path,
-                        line=lineno,
-                    )
-                src = tuple(fields[0].split())
-                tgt = tuple(fields[1].split())
-                scores = fields[2].split()
-                if not src or not tgt or len(scores) != 4:
-                    raise ParseError("malformed phrase table entry", path=path, line=lineno)
-                try:
-                    values = [float(x) for x in scores]
-                except ValueError:
-                    raise ParseError(f"bad score in {fields[2]!r}", path=path, line=lineno)
-                for v in values:
-                    if not (0.0 < v <= 1.0):
-                        raise ParseError(
-                            f"phrase score {v} outside (0, 1]", path=path, line=lineno
-                        )
-                entries[src][tgt] = PhraseScores(*values)
+        for src, tgt, values in _read_scored_lines(path, 4, "phrase table", "score"):
+            entries[src][tgt] = PhraseScores(*values)
         return cls(dict(entries))
 
 
@@ -376,36 +351,44 @@ class ReorderingTable:
 
     @classmethod
     def read(cls, path: str) -> "ReorderingTable":
-        entries = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                fields = line.split(" ||| ")
-                if len(fields) != 3:
-                    raise ParseError(
-                        f"expected 'src ||| tgt ||| six probs', got {line!r}",
-                        path=path,
-                        line=lineno,
-                    )
-                src = tuple(fields[0].split())
-                tgt = tuple(fields[1].split())
-                nums = fields[2].split()
-                if not src or not tgt or len(nums) != 6:
-                    raise ParseError("malformed reordering entry", path=path, line=lineno)
-                try:
-                    values = [float(x) for x in nums]
-                except ValueError:
-                    raise ParseError(f"bad probability in {fields[2]!r}", path=path, line=lineno)
-                for v in values:
-                    if not (0.0 < v <= 1.0):
-                        raise ParseError(
-                            f"orientation probability {v} outside (0, 1]",
-                            path=path,
-                            line=lineno,
-                        )
-                entries[(src, tgt)] = ReorderingEntry(
-                    forward=tuple(values[:3]), backward=tuple(values[3:])
+        lines = _read_scored_lines(path, 6, "reordering", "probability")
+        return cls(
+            {
+                (src, tgt): ReorderingEntry(forward=tuple(v[:3]), backward=tuple(v[3:]))
+                for src, tgt, v in lines
+            }
+        )
+
+
+def _read_scored_lines(path: str, width: int, table: str, value: str):
+    """(source tokens, target tokens, numbers) for each non-blank line
+    `src ||| tgt ||| numbers` of path, with exactly width numbers, each
+    in (0, 1]. table and value name the table and its numbers in the
+    ParseError that a bad line raises."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            fields = line.split(" ||| ")
+            if len(fields) != 3:
+                raise ParseError(
+                    f"expected 'src ||| tgt ||| {width} numbers', got {line!r}",
+                    path=path,
+                    line=lineno,
                 )
-        return cls(entries)
+            src = tuple(fields[0].split())
+            tgt = tuple(fields[1].split())
+            numbers = fields[2].split()
+            if not src or not tgt or len(numbers) != width:
+                raise ParseError(f"malformed {table} entry", path=path, line=lineno)
+            try:
+                values = [float(x) for x in numbers]
+            except ValueError:
+                raise ParseError(f"bad {value} in {fields[2]!r}", path=path, line=lineno)
+            for v in values:
+                if not (0.0 < v <= 1.0):
+                    raise ParseError(
+                        f"{table} {value} {v} outside (0, 1]", path=path, line=lineno
+                    )
+            yield src, tgt, values

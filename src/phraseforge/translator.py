@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .base import BaseEstimator, DataError, check_is_fitted
 from .align import IBM1Aligner, _as_pairs, symmetrize, viterbi_align, write_pharaoh
-from .config import RunConfig, read_config, write_config
+from .config import RunConfig, read_config, validate_config, write_config
 from .corpus import ParallelCorpus
 from .decoder import BeamDecoder, DecodeResult, FeatureWeights
 from .lm import NGramLanguageModel, read_arpa
@@ -56,9 +56,14 @@ def _stage(name: str):
 class PhraseBasedTranslator(BaseEstimator):
     """The whole toolkit behind one estimator.
 
+    The constructor checks the settings with the run config's validator,
+    so a setting that load() would reject fails here, before fit() reads
+    any corpus.
+
     Fitted attributes: lm_, ttable_fwd_ (t(target|source)), ttable_rev_,
     alignments_ (symmetrized, one per training pair), phrase_table_,
-    reordering_table_, weights_, decoder_.
+    reordering_table_, decoder_. weights_ is the decoder's weights, so
+    weights tuned on decoder_ are the ones save() writes.
     """
 
     def __init__(
@@ -84,6 +89,7 @@ class PhraseBasedTranslator(BaseEstimator):
         self.distortion_limit = distortion_limit
         self.options_per_span = options_per_span
         self.weights = weights
+        validate_config(RunConfig(**{name: getattr(self, name) for name in SETTINGS}))
 
     def fit(self, corpus: ParallelCorpus | Iterable) -> "PhraseBasedTranslator":
         """Train every model on a tokenized parallel corpus.
@@ -141,16 +147,20 @@ class PhraseBasedTranslator(BaseEstimator):
             self.reordering_table_ = train_reordering(occurrences)
 
         with _stage("decoder"):
-            self.weights_ = self.weights if self.weights is not None else FeatureWeights()
             self.decoder_ = self._make_decoder()
         return self
+
+    @property
+    def weights_(self) -> FeatureWeights:
+        check_is_fitted(self, "decoder_")
+        return self.decoder_.weights
 
     def _make_decoder(self) -> BeamDecoder:
         return BeamDecoder(
             self.phrase_table_,
             self.lm_,
             reordering_table=self.reordering_table_,
-            weights=self.weights_,
+            weights=self.weights,
             beam_size=self.beam_size,
             beam_threshold=self.beam_threshold,
             distortion_limit=self.distortion_limit,
@@ -161,17 +171,9 @@ class PhraseBasedTranslator(BaseEstimator):
         check_is_fitted(self, "decoder_")
         return self.decoder_.decode(tokens).tokens
 
-    def predict(self, sentences: Iterable[Sequence[str]]) -> list[tuple[str, ...]]:
-        return [self.translate(s) for s in sentences]
-
     def nbest(self, tokens: Sequence[str], n: int) -> list[DecodeResult]:
         check_is_fitted(self, "decoder_")
         return self.decoder_.nbest(tokens, n)
-
-    def set_weights(self, weights: FeatureWeights) -> None:
-        check_is_fitted(self, "decoder_")
-        self.weights_ = weights
-        self.decoder_.weights = weights
 
     def save(
         self,
@@ -223,7 +225,6 @@ class PhraseBasedTranslator(BaseEstimator):
         model.reordering_table_ = (
             ReorderingTable.read(reordering) if reordering else None
         )
-        model.weights_ = config.weights
         model.decoder_ = model._make_decoder()
         return model
 

@@ -22,7 +22,7 @@ import math
 import random
 from typing import Iterable, Sequence
 
-from .base import BaseEstimator, DataError, check_is_fitted
+from .base import BaseEstimator, DataError
 from .corpus import ParallelCorpus
 from .decoder import N_FEATURES, BeamDecoder, DecodeResult, FeatureWeights
 from .metrics import BleuStats, _as_reference_sets, sentence_stats, stats_bleu
@@ -49,10 +49,6 @@ class NBestPool:
         self.stats: list[dict[tuple[str, ...], BleuStats]] = [
             {} for _ in self.references
         ]
-
-    @property
-    def n_sentences(self) -> int:
-        return len(self.references)
 
     def __len__(self) -> int:
         return sum(len(e) for e in self.entries)
@@ -272,21 +268,3 @@ class MertTuner(BaseEstimator):
         self.pool_ = pool
         self.history_ = history
         return self
-
-    def get_weights(self) -> FeatureWeights:
-        check_is_fitted(self, "weights_")
-        return self.weights_
-
-
-def tune(
-    devset: ParallelCorpus | Sequence,
-    decoder: BeamDecoder,
-    initial: FeatureWeights | None = None,
-    iterations: int = 5,
-    nbest_size: int = 100,
-    seed: int = 0,
-) -> FeatureWeights:
-    """Tune decoder weights on a dev corpus; returns the best weights
-    found and leaves them installed on the decoder."""
-    tuner = MertTuner(iterations=iterations, nbest_size=nbest_size, seed=seed)
-    return tuner.fit(devset, decoder, initial=initial).weights_

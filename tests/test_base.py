@@ -24,18 +24,6 @@ def test_get_params_reflects_constructor():
     assert params["open_vocab"] is True
 
 
-def test_set_params_roundtrip():
-    model = NGramLanguageModel()
-    model.set_params(order=4, smoothing="add-k")
-    assert model.order == 4
-    assert model.get_params()["smoothing"] == "add-k"
-
-
-def test_set_params_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown parameter"):
-        IBM1Aligner().set_params(nonsense=3)
-
-
 def test_repr_shows_params():
     assert repr(MertTuner(iterations=2)).startswith("MertTuner(iterations=2")
 

@@ -284,6 +284,38 @@ def test_train_rejects_a_bad_setting_before_reading_the_corpus(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("prepare", "--train", "-1"),
+        ("prepare", "--test", "-1"),
+        ("prepare", "--tune", "-1"),
+        ("prepare", "--max-len", "0"),
+        ("prepare", "--max-len", "ten"),
+        ("prepare", "--max-ratio", "-1"),
+        ("prepare", "--max-ratio", "nan"),
+        ("tune", "--iterations", "0"),
+        ("tune", "--nbest", "0"),
+    ],
+)
+def test_a_count_flag_out_of_range_is_rejected_before_any_file_is_opened(
+    tmp_path, capsys, command, flag, value
+):
+    absent = str(tmp_path / "absent")
+    out = tmp_path / "out"
+    argv = {
+        "prepare": ["prepare", "--corpus", absent, "--source-lang", "src",
+                    "--target-lang", "tgt", "--out", str(out)],
+        "tune": ["tune", "--config", absent + ".ini", "--corpus", absent,
+                 "--out", str(out / "run.ini")],
+    }[command]
+    code, stdout, stderr = run(capsys, argv + [flag, value])
+    assert code == 1
+    assert stderr.startswith("usage error:") and flag in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
 # translate
 
 
@@ -581,9 +613,12 @@ def test_internal_errors_exit_3(trained, capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    import phraseforge
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(phraseforge.__file__)))
     result = subprocess.run(
         [sys.executable, "-m", "phraseforge", "--version"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "phraseforge 0.1.0"

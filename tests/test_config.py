@@ -7,6 +7,7 @@ import pytest
 from phraseforge.base import ConfigError
 from phraseforge.config import RunConfig, read_config, write_config
 from phraseforge.decoder import FEATURE_NAMES, FeatureWeights
+from phraseforge.translator import PhraseBasedTranslator
 
 
 def write_ini(tmp_path, body, name="run.ini"):
@@ -117,22 +118,28 @@ def test_weights_section_round_trips_values(tmp_path):
     assert config.weights.as_vector() == tuple(0.1 * (i + 1) for i in range(9))
 
 
+# [params] values that parse but are out of range: (key, value, message)
+OUT_OF_RANGE = [
+    ("smoothing", "kneser-ney", "smoothing must be"),
+    ("order", 0, "order must be"),
+    ("order", 6, "order must be"),
+    ("add_k", -0.5, "add_k must be"),
+    ("em_iterations", 0, "em_iterations must be"),
+    ("max_phrase_len", 0, "max_phrase_len must be"),
+    ("beam_size", 0, "beam_size must be"),
+    ("beam_threshold", 1.5, "beam_threshold must be"),
+    ("distortion_limit", -1, "distortion_limit must be"),
+    ("options_per_span", 0, "options_per_span must be"),
+]
+
+
 @pytest.mark.parametrize(
     "body,message",
     [
         ("[params]\norder = three\n", "cannot parse"),
         ("[params]\nbeam_size = 1.5\n", "cannot parse"),
         ("[params]\nadd_k = much\n", "cannot parse"),
-        ("[params]\nsmoothing = kneser-ney\n", "smoothing must be"),
-        ("[params]\norder = 0\n", "order must be"),
-        ("[params]\norder = 6\n", "order must be"),
-        ("[params]\nadd_k = -0.5\n", "add_k must be"),
-        ("[params]\nem_iterations = 0\n", "em_iterations must be"),
-        ("[params]\nmax_phrase_len = 0\n", "max_phrase_len must be"),
-        ("[params]\nbeam_size = 0\n", "beam_size must be"),
-        ("[params]\nbeam_threshold = 1.5\n", "beam_threshold must be"),
-        ("[params]\ndistortion_limit = -1\n", "distortion_limit must be"),
-        ("[params]\noptions_per_span = 0\n", "options_per_span must be"),
+        *((f"[params]\n{key} = {value}\n", message) for key, value, message in OUT_OF_RANGE),
         ("[params]\nsource_lang =\n", "non-empty"),
         ("no section header\n", "File contains no section headers"),
     ],
@@ -140,6 +147,16 @@ def test_weights_section_round_trips_values(tmp_path):
 def test_invalid_values_are_rejected(tmp_path, body, message):
     with pytest.raises(ConfigError, match=message):
         read_config(write_ini(tmp_path, body))
+
+
+@pytest.mark.parametrize("key,value,message", OUT_OF_RANGE)
+def test_translator_rejects_what_the_loader_rejects(tmp_path, key, value, message):
+    path = write_ini(tmp_path, f"[params]\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as from_file:
+        read_config(path)
+    with pytest.raises(ConfigError, match=message) as from_constructor:
+        PhraseBasedTranslator(**{key: value})
+    assert str(from_file.value) == f"{path}: {from_constructor.value}"
 
 
 def test_config_errors_carry_the_file_path(tmp_path):
@@ -179,11 +196,3 @@ def test_train_stem_checks_both_language_sides(tmp_path):
 def test_resolve_rejects_non_path_keys():
     with pytest.raises(KeyError):
         RunConfig().resolve("order")
-
-
-def test_with_weights_replaces_only_the_weights():
-    base = RunConfig(order=2)
-    tuned = base.with_weights(FeatureWeights(lm=9.0))
-    assert tuned.weights.lm == 9.0
-    assert tuned.order == 2
-    assert base.weights.lm == 0.5

@@ -65,10 +65,9 @@ def test_feature_weights_vector_arity_is_checked():
         FeatureWeights().dot([1.0] * 8)
 
 
-def test_feature_weights_dot_and_scaled():
+def test_feature_weights_dot():
     weights = FeatureWeights.from_vector(range(9))
     assert weights.dot([1.0] * 9) == pytest.approx(36.0, abs=1e-12)
-    assert weights.scaled(2.0).as_vector() == tuple(2.0 * w for w in range(9))
 
 
 # -- translation options ------------------------------------------------------
@@ -401,7 +400,8 @@ def test_scaling_all_weights_preserves_the_argmax():
             rng, with_reordering=trial % 2 == 0
         )
         base = exhaustive(table, lm, reordering, weights).decode(tokens)
-        scaled = exhaustive(table, lm, reordering, weights.scaled(2.5)).decode(tokens)
+        times = FeatureWeights.from_vector(2.5 * w for w in weights.as_vector())
+        scaled = exhaustive(table, lm, reordering, times).decode(tokens)
         assert scaled.tokens == base.tokens
         assert scaled.score == pytest.approx(2.5 * base.score, rel=1e-9)
 
@@ -459,6 +459,9 @@ def test_decoder_validates_parameters():
         BeamDecoder(table, lm, beam_threshold=1.5)
     with pytest.raises(ValueError, match="distortion_limit"):
         BeamDecoder(table, lm, distortion_limit=-1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="options_per_span"):
+            BeamDecoder(table, lm, options_per_span=bad)
     with pytest.raises(ValueError, match="n must"):
         BeamDecoder(table, lm).nbest(("a",), 0)
 

@@ -11,6 +11,7 @@ from phraseforge.config import PARAM_KEYS, RunConfig, read_config, validate_conf
 from phraseforge.corpus import ParallelCorpus, SentencePair
 from phraseforge.decoder import DecodeResult, FeatureWeights
 from phraseforge.translator import SETTINGS, PhraseBasedTranslator
+from phraseforge.tuning import MertTuner
 
 
 def identity_corpus(rng, n_pairs=10, vocab=("a", "b", "c", "d", "e", "f")):
@@ -63,12 +64,13 @@ def test_fitted_attributes_are_populated():
     assert model.decoder_.phrase_table is model.phrase_table_
 
 
-def test_predict_and_nbest():
+def test_nbest_is_ordered_and_leads_with_the_translation():
     rng = random.Random(11)
     pairs = mapped_corpus(rng)
     model = PhraseBasedTranslator().fit(pairs)
     sources = [src for src, _ in pairs[:3]]
-    assert model.predict(sources) == [model.translate(s) for s in sources]
+    translations = [model.translate(s) for s in sources]
+    assert [model.nbest(s, 1)[0].tokens for s in sources] == translations
     results = model.nbest(sources[0], 5)
     assert all(isinstance(r, DecodeResult) for r in results)
     assert results[0].tokens == model.translate(sources[0])
@@ -76,12 +78,16 @@ def test_predict_and_nbest():
         assert earlier.score >= later.score - 1e-9
 
 
-def test_set_weights_reaches_the_decoder():
-    model = PhraseBasedTranslator().fit([(("a",), ("a",))])
-    tuned = FeatureWeights(lm=2.0)
-    model.set_weights(tuned)
-    assert model.weights_ == tuned
-    assert model.decoder_.weights == tuned
+def test_save_writes_the_weights_tuned_on_the_decoder(tmp_path):
+    rng = random.Random(0)
+    pairs = mapped_corpus(rng, n_pairs=20)
+    # noisy pairs, so the default weights leave dev BLEU to gain
+    pairs += [(src, tuple(reversed(tgt)) + ("t0",)) for src, tgt in mapped_corpus(rng, 8)]
+    model = PhraseBasedTranslator().fit(pairs)
+    tuner = MertTuner(iterations=2, nbest_size=20).fit(mapped_corpus(rng), model.decoder_)
+    assert tuner.weights_ != FeatureWeights()
+    assert model.weights_ is model.decoder_.weights
+    assert read_config(model.save(str(tmp_path / "m"))).weights == tuner.weights_
 
 
 def test_translate_requires_fit():
@@ -176,8 +182,6 @@ def test_estimator_params_reflect_the_constructor():
     params = model.get_params()
     assert params["order"] == 2
     assert params["beam_size"] is None
-    model.set_params(order=4)
-    assert model.order == 4
 
 
 def test_fit_leaves_the_garbage_collector_as_it_found_it():

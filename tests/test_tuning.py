@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from phraseforge.base import DataError, NotFittedError
+from phraseforge.base import DataError
 from phraseforge.decoder import BeamDecoder, FeatureWeights
 from phraseforge.lm import NGramLanguageModel
 from phraseforge.phrases import PhraseScores, PhraseTable
@@ -14,7 +14,6 @@ from phraseforge.tuning import (
     _line_search,
     optimize_weights,
     pool_bleu,
-    tune,
 )
 
 REF = ("t0", "t1", "t2", "t3")
@@ -55,7 +54,6 @@ def test_pool_keeps_the_first_feature_vector_per_translation():
     assert pool.add(0, ("t0",), vec((0, 2.0))) is False
     assert pool.entries[0][("t0",)] == vec((0, 1.0))
     assert len(pool) == 1
-    assert pool.n_sentences == 1
 
 
 def test_pool_validates_feature_arity():
@@ -200,9 +198,8 @@ def test_mert_tuner_improves_within_every_iteration():
         assert after >= before - 1e-9
     assert isinstance(tuner.weights_, FeatureWeights)
     assert decoder.weights == tuner.weights_
-    assert tuner.pool_.n_sentences == len(pairs)
+    assert len(tuner.pool_.entries) == len(pairs)
     assert len(tuner.pool_) > 0
-    assert tuner.get_weights() == tuner.weights_
 
 
 def test_mert_tuner_validates_inputs():
@@ -215,17 +212,3 @@ def test_mert_tuner_validates_inputs():
         MertTuner(nbest_size=0).fit(pairs, decoder)
     with pytest.raises(DataError, match="dev set"):
         MertTuner().fit([], decoder)
-
-
-def test_get_weights_requires_fit():
-    with pytest.raises(NotFittedError):
-        MertTuner().get_weights()
-
-
-def test_tune_wrapper_installs_weights_on_the_decoder():
-    rng = random.Random(23)
-    table, lm, pairs = toy_translation_task(rng)
-    decoder = BeamDecoder(table, lm)
-    weights = tune(pairs, decoder, iterations=2, nbest_size=10)
-    assert isinstance(weights, FeatureWeights)
-    assert decoder.weights == weights
