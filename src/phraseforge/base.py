@@ -34,7 +34,7 @@ class ParseError(DataError):
         self.line = line
         where = ""
         if path is not None:
-            where = f"{path}:" if line is None else f"{path}:{line}: "
+            where = f"{path}: " if line is None else f"{path}:{line}: "
         elif line is not None:
             where = f"line {line}: "
         super().__init__(where + message)

@@ -43,6 +43,7 @@ from .corpus import (
     write_parallel,
 )
 from .decoder import FEATURE_NAMES, DecodeError
+from .lm import SMOOTHING_METHODS
 from .metrics import report
 from .translator import SETTINGS, PhraseBasedTranslator
 from .tuning import MertTuner
@@ -65,15 +66,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _at_least(minimum, kind=int):
     """An argparse type: the flag's value as kind, a usage error below
-    minimum."""
+    minimum or not finite (NaN included)."""
 
     def parse(raw: str):
         try:
             value = kind(raw)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {raw!r}") from None
-        if not value >= minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {raw}")
+        if not minimum <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and >= {minimum}, got {raw}")
         return value
 
     return parse
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="model output directory")
     p.add_argument("--config", help="read defaults from an existing config")
     p.add_argument("--order", type=int, help="language model order")
-    p.add_argument("--smoothing", choices=("witten-bell", "add-k"))
+    p.add_argument("--smoothing", choices=SMOOTHING_METHODS)
     p.add_argument("--add-k", type=float, help="additive constant for add-k")
     p.add_argument(
         "--em-iters", dest="em_iterations", type=int, help="Model 1 EM iterations"

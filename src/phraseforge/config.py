@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, fields
 
 from .base import ConfigError
 from .decoder import FEATURE_NAMES, FeatureWeights
+from .lm import SMOOTHING_METHODS
 
 PATH_KEYS = ("train_stem", "lm", "phrase_table", "reordering_table")
-SMOOTHING_METHODS = ("witten-bell", "add-k")
 
 
 @dataclass
@@ -88,8 +88,8 @@ def validate_config(config: RunConfig, path: str | None = None) -> None:
         )
     if not 1 <= config.order <= 5:
         raise ConfigError(f"order must be in 1..5, got {config.order}", path=path)
-    if config.add_k < 0:
-        raise ConfigError(f"add_k must be >= 0, got {config.add_k}", path=path)
+    if not 0.0 <= config.add_k < float("inf"):
+        raise ConfigError(f"add_k must be finite and >= 0, got {config.add_k}", path=path)
     if config.em_iterations < 1:
         raise ConfigError(
             f"em_iterations must be >= 1, got {config.em_iterations}", path=path

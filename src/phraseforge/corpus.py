@@ -97,12 +97,12 @@ def clean(corpus: ParallelCorpus, max_len: int = 80, max_ratio: float = 9.0) -> 
     """Drop pairs that are overlong or badly length-mismatched.
 
     Keeps pairs with both side lengths in [1, max_len] and
-    max(len)/min(len) <= max_ratio. Idempotent.
+    max(len)/min(len) <= max_ratio, a finite number >= 1. Idempotent.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if max_ratio < 1:
-        raise ValueError(f"max_ratio must be >= 1, got {max_ratio}")
+    if not 1.0 <= max_ratio < float("inf"):
+        raise ValueError(f"max_ratio must be finite and >= 1, got {max_ratio}")
     kept = []
     for pair in corpus.pairs:
         ls, lt = len(pair.source), len(pair.target)

@@ -47,26 +47,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Sequence
 
 from .base import check_sentence
-from .corpus import BOS, EOS
+from .corpus import EOS
 from .lm import NGramLanguageModel
-from .phrases import PhraseTable, ReorderingTable
-
-N_FEATURES = 9
-FEATURE_NAMES = (
-    "lm",
-    "phrase_st",
-    "lex_st",
-    "phrase_ts",
-    "lex_ts",
-    "reordering",
-    "word_penalty",
-    "phrase_penalty",
-    "distortion",
-)
+from .phrases import DISC, MONO, SWAP, PhraseTable, ReorderingTable
 
 OOV_LOGPROB = -10.0
 _UNIFORM_REO = (math.log(1.0 / 3.0),) * 3
@@ -79,7 +67,8 @@ class DecodeError(RuntimeError):
 
 @dataclass
 class FeatureWeights:
-    """Log-linear weights, one per feature, in the canonical order."""
+    """Log-linear weights, one per feature; the field order is the
+    canonical feature order (FEATURE_NAMES)."""
 
     lm: float = 0.5
     phrase_st: float = 0.2
@@ -92,17 +81,7 @@ class FeatureWeights:
     distortion: float = 0.2
 
     def as_vector(self) -> tuple[float, ...]:
-        return (
-            self.lm,
-            self.phrase_st,
-            self.lex_st,
-            self.phrase_ts,
-            self.lex_ts,
-            self.reordering,
-            self.word_penalty,
-            self.phrase_penalty,
-            self.distortion,
-        )
+        return _weights_in_order(self)
 
     @classmethod
     def from_vector(cls, vector: Iterable[float]) -> "FeatureWeights":
@@ -113,6 +92,11 @@ class FeatureWeights:
 
     def dot(self, features: Iterable[float]) -> float:
         return math.fsum(w * f for w, f in zip(self.as_vector(), features, strict=True))
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureWeights))
+N_FEATURES = len(FEATURE_NAMES)
+_weights_in_order = operator.attrgetter(*FEATURE_NAMES)
 
 
 class TranslationOption(NamedTuple):
@@ -213,13 +197,14 @@ def future_cost_table(
     weights: FeatureWeights,
     lm: NGramLanguageModel,
 ) -> dict[tuple[int, int], float]:
-    """Best-case weighted score per source span, by dynamic programming.
+    """Estimated weighted score per source span, by dynamic programming.
 
     A span's estimate is the better of its best single option (translation
     features, context-free LM estimate of its target words, word and phrase
     penalties; reordering and distortion excluded) and the best split into
     two sub-spans. Every span is reachable because unknown words carry
-    copy-through options.
+    copy-through options. It is an estimate, not a bound: the unigram LM
+    term can score a word lower than its in-context probability.
     """
     span_best: dict[tuple[int, int], float] = {}
     for opt in options:
@@ -299,9 +284,8 @@ class BeamDecoder:
     distortion_limit caps |phrase start - previous phrase end| (None =
     unlimited); options_per_span caps the options kept per source span
     (None = all). Ties anywhere break toward the lexicographically smaller
-    target, so decoding is deterministic. weights, beam_size and
-    distortion_limit may be changed between calls; each search reads them
-    afresh.
+    target, so decoding is deterministic. weights and the four limits may
+    be changed between calls; each search reads them afresh.
     """
 
     def __init__(
@@ -377,7 +361,7 @@ class BeamDecoder:
         the order the options were applied. lm_memo is the memo of the
         search that found the derivation (see _step).
         """
-        state = (BOS,) if self.lm.order > 1 else ()
+        state = self.lm.start_state
         totals = (0.0,) * N_FEATURES
         prev_start = prev_end = 0
         prev_bwd = None
@@ -405,7 +389,7 @@ class BeamDecoder:
         iff that phrase ends the sentence)."""
         reo_feat = 0.0
         if last_bwd is not None:
-            reo_feat = last_bwd[0 if last_end == source_len else 2]
+            reo_feat = last_bwd[MONO if last_end == source_len else DISC]
         return (self.lm.logprob(EOS, lm_state), 0.0, 0.0, 0.0, 0.0, reo_feat, 0.0, 0.0, 0.0)
 
     # -- search ---------------------------------------------------------
@@ -418,34 +402,23 @@ class BeamDecoder:
         replays a derivation with this one function.
 
         lm_memo maps (LM state, target phrase) to (log-probability sum,
-        next state) for one search; a miss queries the LM.
+        next state) for one search; a miss asks the LM to extend the state.
         """
         hit = lm_memo.get((state, opt.tgt))
         if hit is None:
-            hit = lm_memo[(state, opt.tgt)] = self._lm_extend(state, opt.tgt)
+            hit = lm_memo[(state, opt.tgt)] = self.lm.extend(state, opt.tgt)
         reo_feat = 0.0
         if self.reordering_table is not None:
             if opt.start == prev_end:
-                orient = 0  # mono
+                orient = MONO
             elif opt.end == prev_start:
-                orient = 1  # swap
+                orient = SWAP
             else:
-                orient = 2  # disc
+                orient = DISC
             reo_feat = opt.fwd_reo[orient]
             if prev_bwd is not None:
                 reo_feat += prev_bwd[orient]
         return hit[0], hit[1], reo_feat
-
-    def _lm_extend(self, state, words):
-        total = 0.0
-        if self.lm.order == 1:
-            for w in words:
-                total += self.lm.logprob(w, ())
-            return total, ()
-        for w in words:
-            total += self.lm.logprob(w, state)
-            state = (state + (w,))[-(self.lm.order - 1) :]
-        return total, state
 
     def _search(self, tokens: tuple[str, ...], lm_memo: dict) -> _Node:
         """Fill the coverage stacks; returns the final lattice node.
@@ -504,7 +477,7 @@ class BeamDecoder:
             recombine = (opt.start, opt.end, opt.bwd_reo) if reo_on else opt.end
             by_start[opt.start].append((opt, opt.mask, static, recombine))
 
-        init_state = (BOS,) if self.lm.order > 1 else ()
+        init_state = self.lm.start_state
         init = _Node(0, init_state, (0, 0), None, future_of(0))
         init.score = 0.0
         init.target = ()

@@ -40,6 +40,8 @@ _ARPA_ZERO = -98.0
 
 Ngram = tuple[str, ...]
 
+SMOOTHING_METHODS = ("witten-bell", "add-k")
+
 
 @dataclass
 class NGramCounts:
@@ -83,8 +85,9 @@ class NGramLanguageModel(BaseEstimator):
     Parameters
     ----------
     order : n-gram order, 1..5.
-    smoothing : "witten-bell" or "add-k".
-    add_k : the k of add-k smoothing (0 = MLE); ignored by witten-bell.
+    smoothing : one of SMOOTHING_METHODS, "witten-bell" or "add-k".
+    add_k : the k of add-k smoothing, finite and >= 0 (0 = MLE); ignored
+        by witten-bell.
     open_vocab : when True, out-of-vocabulary queries map to <unk>, which
         holds real unigram mass. When False the vocabulary is closed and
         unseen words score -inf.
@@ -114,10 +117,10 @@ class NGramLanguageModel(BaseEstimator):
 
     def _interpolated(self, counts: NGramCounts) -> list[dict[Ngram, float]]:
         """Per-order interpolated conditionals P(w|h) for every counted n-gram."""
-        if self.smoothing not in ("witten-bell", "add-k"):
+        if self.smoothing not in SMOOTHING_METHODS:
             raise ValueError(f"unknown smoothing {self.smoothing!r}")
-        if self.smoothing == "add-k" and self.add_k < 0:
-            raise ValueError(f"add_k must be >= 0, got {self.add_k}")
+        if self.smoothing == "add-k" and not 0.0 <= self.add_k < math.inf:
+            raise ValueError(f"add_k must be finite and >= 0, got {self.add_k}")
 
         unigrams = counts.by_order[0]
         vocab = sorted(w for (w,) in unigrams)
@@ -223,16 +226,27 @@ class NGramLanguageModel(BaseEstimator):
         alpha = hist[1] if hist is not None and hist[1] is not None else 0.0
         return alpha + self._backoff_query(word, context[1:])
 
+    @property
+    def start_state(self) -> Ngram:
+        """The LM state before a sentence's first word: (<s>,), or () for
+        order 1, which keeps no history."""
+        return (BOS,) if self.order > 1 else ()
+
+    def extend(self, state: Ngram, words: Iterable[str]) -> tuple[float, Ngram]:
+        """(natural-log probability sum, next state) of words following
+        the LM state `state`: one logprob query per word, summed left to
+        right. A state holds the last order - 1 words, <s> included."""
+        total = 0.0
+        keep = self.order - 1
+        for w in words:
+            total += self.logprob(w, state)
+            if keep:  # order 1 keeps the empty state; [-0:] would keep all
+                state = (state + (w,))[-keep:]
+        return total, state
+
     def sentence_logprob(self, tokens: Iterable[str]) -> float:
         """Natural-log probability of a sentence including the </s> event."""
-        check_is_fitted(self, "entries_")
-        state: Ngram = (BOS,) if self.order > 1 else ()
-        total = 0.0
-        for w in tuple(tokens) + (EOS,):
-            total += self.logprob(w, state)
-            if self.order > 1:
-                state = (state + (w,))[-(self.order - 1) :]
-        return total
+        return self.extend(self.start_state, (*tokens, EOS))[0]
 
     def perplexity(self, sentences: Iterable[tuple[str, ...]]) -> float:
         """exp of the negative mean token log-likelihood, </s> included."""

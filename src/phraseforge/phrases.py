@@ -20,9 +20,9 @@ from .align import AlignmentMatrix, Link, TTable
 from .base import DataError, ParseError
 from .corpus import NULL_WORD, SentencePair
 
-MONO = "mono"
-SWAP = "swap"
-DISC = "disc"
+# Orientations: monotone, swap, discontinuous. Each is its index in every
+# (mono, swap, disc) triple, here and in the decoder.
+MONO, SWAP, DISC = 0, 1, 2
 ORIENTATIONS = (MONO, SWAP, DISC)
 
 
@@ -41,14 +41,15 @@ class PhraseOccurrence:
     """One extraction instance with its box-internal links and orientations.
 
     links are re-indexed to the box (0-based from the span starts);
-    prev_orient/next_orient classify the pair against the adjacent
-    alignment corners (the forward and backward reordering events).
+    prev_orient/next_orient (MONO, SWAP or DISC) classify the pair against
+    the adjacent alignment corners (the forward and backward reordering
+    events).
     """
 
     phrase: PhrasePair
     links: frozenset[Link]
-    prev_orient: str
-    next_orient: str
+    prev_orient: int
+    next_orient: int
 
 
 class PhraseScores(NamedTuple):
@@ -258,16 +259,14 @@ def score_phrases(
     return PhraseTable(dict(entries))
 
 
-_ORIENT_INDEX = {MONO: 0, SWAP: 1, DISC: 2}
-
-
 def train_reordering(
     occurrences: Iterable[PhraseOccurrence], smoothing: float = 0.5
 ) -> "ReorderingTable":
     """Per-pair msd orientation distributions, both directions, add-sigma
-    smoothed: P(o) = (count_o + sigma) / (count_total + 3*sigma)."""
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    smoothed: P(o) = (count_o + sigma) / (count_total + 3*sigma), with
+    sigma = smoothing finite and >= 0."""
+    if not 0.0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     # (src, tgt) -> forward mono, swap, disc counts, then backward ones
     counts: dict[tuple, list[int]] = {}
     for occ in occurrences:
@@ -275,8 +274,8 @@ def train_reordering(
         c = counts.get(key)
         if c is None:
             c = counts[key] = [0, 0, 0, 0, 0, 0]
-        c[_ORIENT_INDEX[occ.prev_orient]] += 1
-        c[3 + _ORIENT_INDEX[occ.next_orient]] += 1
+        c[occ.prev_orient] += 1
+        c[3 + occ.next_orient] += 1
     return ReorderingTable(
         {
             key: ReorderingEntry(

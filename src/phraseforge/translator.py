@@ -62,8 +62,9 @@ class PhraseBasedTranslator(BaseEstimator):
 
     Fitted attributes: lm_, ttable_fwd_ (t(target|source)), ttable_rev_,
     alignments_ (symmetrized, one per training pair), phrase_table_,
-    reordering_table_, decoder_. weights_ is the decoder's weights, so
-    weights tuned on decoder_ are the ones save() writes.
+    reordering_table_, decoder_. weights_ is the decoder's weights. save()
+    writes decoder_'s weights and SEARCH_LIMITS, so weights tuned or a
+    beam set on decoder_ are the ones written.
     """
 
     def __init__(
@@ -161,10 +162,7 @@ class PhraseBasedTranslator(BaseEstimator):
             self.lm_,
             reordering_table=self.reordering_table_,
             weights=self.weights,
-            beam_size=self.beam_size,
-            beam_threshold=self.beam_threshold,
-            distortion_limit=self.distortion_limit,
-            options_per_span=self.options_per_span,
+            **{name: getattr(self, name) for name in SEARCH_LIMITS},
         )
 
     def translate(self, tokens: Sequence[str]) -> tuple[str, ...]:
@@ -202,7 +200,10 @@ class PhraseBasedTranslator(BaseEstimator):
             target_lang=target_lang,
             weights=self.weights_,
             base_dir=out_dir,
-            **{name: getattr(self, name) for name in SETTINGS},
+            **{
+                name: getattr(self.decoder_ if name in SEARCH_LIMITS else self, name)
+                for name in SETTINGS
+            },
         )
         config_path = os.path.join(out_dir, CONFIG_FILE)
         write_config(config, config_path)
@@ -232,3 +233,5 @@ class PhraseBasedTranslator(BaseEstimator):
 # Every constructor parameter but weights. Each is a [params] key of the
 # run config, which save() and load() copy by these names.
 SETTINGS = tuple(name for name in PhraseBasedTranslator._param_names() if name != "weights")
+# The settings passed to the decoder, which reads them afresh on each search.
+SEARCH_LIMITS = ("beam_size", "beam_threshold", "distortion_limit", "options_per_span")

@@ -270,6 +270,8 @@ def test_train_without_corpus_is_a_usage_error(tmp_path, capsys):
         ("--beam", "0", "beam_size"),
         ("--beam-threshold", "2", "beam_threshold"),
         ("--add-k", "-1", "add_k"),
+        ("--add-k", "nan", "add_k"),
+        ("--add-k", "inf", "add_k"),
     ],
 )
 def test_train_rejects_a_bad_setting_before_reading_the_corpus(tmp_path, capsys, flag, value, key):
@@ -294,6 +296,7 @@ def test_train_rejects_a_bad_setting_before_reading_the_corpus(tmp_path, capsys,
         ("prepare", "--max-len", "ten"),
         ("prepare", "--max-ratio", "-1"),
         ("prepare", "--max-ratio", "nan"),
+        ("prepare", "--max-ratio", "inf"),
         ("tune", "--iterations", "0"),
         ("tune", "--nbest", "0"),
     ],

@@ -124,10 +124,13 @@ OUT_OF_RANGE = [
     ("order", 0, "order must be"),
     ("order", 6, "order must be"),
     ("add_k", -0.5, "add_k must be"),
+    ("add_k", float("nan"), "add_k must be finite"),
+    ("add_k", float("inf"), "add_k must be finite"),
     ("em_iterations", 0, "em_iterations must be"),
     ("max_phrase_len", 0, "max_phrase_len must be"),
     ("beam_size", 0, "beam_size must be"),
     ("beam_threshold", 1.5, "beam_threshold must be"),
+    ("beam_threshold", float("nan"), "beam_threshold must be"),
     ("distortion_limit", -1, "distortion_limit must be"),
     ("options_per_span", 0, "options_per_span must be"),
 ]

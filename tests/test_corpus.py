@@ -157,6 +157,12 @@ def test_clean_validates_parameters():
         clean(corpus_of(("a", "b")), max_ratio=0.5)
 
 
+@pytest.mark.parametrize("max_ratio", [float("nan"), float("inf")])
+def test_clean_rejects_a_non_finite_max_ratio(max_ratio):
+    with pytest.raises(ValueError, match="max_ratio must be finite"):
+        clean(corpus_of(("a", " ".join(["b"] * 20))), max_ratio=max_ratio)
+
+
 # -- split ---------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Decoder: option building, future costs, beam search vs exhaustive search."""
 
+import dataclasses
 import math
 import random
 
@@ -53,9 +54,16 @@ def tiny_lm():
 
 def test_feature_names_and_defaults_line_up():
     assert len(FEATURE_NAMES) == N_FEATURES == 9
+    assert FEATURE_NAMES == tuple(f.name for f in dataclasses.fields(FeatureWeights))
+    assert FEATURE_NAMES == (
+        "lm", "phrase_st", "lex_st", "phrase_ts", "lex_ts",
+        "reordering", "word_penalty", "phrase_penalty", "distortion",
+    )
     weights = FeatureWeights()
     assert weights.as_vector() == (0.5, 0.2, 0.2, 0.2, 0.2, 0.3, -1.0, 0.2, 0.2)
     assert FeatureWeights.from_vector(weights.as_vector()) == weights
+    distinct = FeatureWeights.from_vector(range(9))
+    assert distinct.as_vector() == tuple(getattr(distinct, n) for n in FEATURE_NAMES)
 
 
 def test_feature_weights_vector_arity_is_checked():

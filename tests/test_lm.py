@@ -117,6 +117,12 @@ def test_fit_validates_parameters():
         NGramLanguageModel(smoothing="add-k", add_k=-1.0).fit([("a",)])
 
 
+@pytest.mark.parametrize("add_k", [float("nan"), float("inf")])
+def test_fit_rejects_a_non_finite_add_k(add_k):
+    with pytest.raises(ValueError, match="add_k must be finite"):
+        NGramLanguageModel(smoothing="add-k", add_k=add_k).fit([("a",)])
+
+
 # -- the interpolation oracle -------------------------------------------------
 
 
@@ -210,6 +216,29 @@ def test_sentence_logprob_is_the_sum_of_stepwise_queries():
         total += model.logprob(w, state)
         state = (state + (w,))[-2:]
     assert math.isclose(model.sentence_logprob(tokens), total, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_extend_is_a_truncating_loop_of_logprob_queries(order):
+    rng = random.Random(order)
+    vocab = ("a", "b", "c", "d", "e")
+    model = NGramLanguageModel(order=order).fit(toy_sentences(rng, n=30, vocab=vocab))
+    assert model.start_state == ((BOS,) if order > 1 else ())
+    for _ in range(50):
+        state = tuple(rng.choice(vocab) for _ in range(rng.randint(0, order - 1)))
+        if order > 1 and rng.random() < 0.3:
+            state = ((BOS,) + state)[: order - 1]
+        words = tuple(rng.choice(vocab + ("zz",)) for _ in range(rng.randint(0, 6)))
+        total, expected_state = 0.0, state
+        for w in words:
+            total += model.logprob(w, expected_state)
+            tail = expected_state + (w,)
+            expected_state = tail[max(0, len(tail) - (order - 1)) :]
+        assert model.extend(state, words) == (total, expected_state)
+        sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 6)))
+        assert model.sentence_logprob(sentence) == model.extend(
+            model.start_state, sentence + (EOS,)
+        )[0]
 
 
 def test_perplexity_of_uniform_corpus_is_vocab_size():
@@ -333,6 +362,14 @@ def test_read_arpa_rejects_malformed_files(tmp_path, body, message):
     path.write_text(body, encoding="utf-8")
     with pytest.raises(ParseError, match=message):
         read_arpa(str(path))
+
+
+def test_read_arpa_names_the_file_of_a_missing_end_marker(tmp_path):
+    path = tmp_path / "lm.arpa"
+    path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\ta\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_arpa(str(path))
+    assert str(err.value) == f"{path}: missing \\end\\ marker"
 
 
 def test_write_arpa_declares_true_entry_counts(tmp_path):

@@ -285,6 +285,17 @@ def test_reordering_counts_accumulate_per_phrase_pair():
     )
 
 
+def test_reordering_triples_are_indexed_by_orientation():
+    orientations = (MONO, SWAP, DISC)
+    for prev in orientations:
+        for nxt in orientations:
+            occurrence = occ(("a",), ("x",), {(0, 0)}, prev=prev, nxt=nxt)
+            entry = train_reordering([occurrence], smoothing=0.0).lookup(("a",), ("x",))
+            assert entry.forward == tuple(float(o == prev) for o in orientations)
+            assert entry.backward == tuple(float(o == nxt) for o in orientations)
+    assert orientations == (0, 1, 2)
+
+
 def test_reordering_distributions_are_proper():
     rng = random.Random(43)
     occurrences = []
@@ -306,6 +317,12 @@ def test_reordering_distributions_are_proper():
 def test_train_reordering_rejects_negative_smoothing():
     with pytest.raises(ValueError, match="smoothing"):
         train_reordering([], smoothing=-0.5)
+
+
+@pytest.mark.parametrize("smoothing", [float("nan"), float("inf")])
+def test_train_reordering_rejects_a_non_finite_smoothing(smoothing):
+    with pytest.raises(ValueError, match="smoothing must be finite"):
+        train_reordering([occ(("a",), ("x",), {(0, 0)})], smoothing=smoothing)
 
 
 # -- table files --------------------------------------------------------------

@@ -90,6 +90,17 @@ def test_save_writes_the_weights_tuned_on_the_decoder(tmp_path):
     assert read_config(model.save(str(tmp_path / "m"))).weights == tuner.weights_
 
 
+def test_save_writes_the_search_limits_set_on_the_decoder(tmp_path):
+    model = PhraseBasedTranslator().fit(mapped_corpus(random.Random(5)))
+    model.decoder_.beam_size = 10
+    model.decoder_.beam_threshold = 0.0
+    model.decoder_.distortion_limit = 0
+    model.decoder_.options_per_span = None
+    config = read_config(model.save(str(tmp_path / "m")))
+    assert (config.beam_size, config.beam_threshold) == (10, 0.0)
+    assert (config.distortion_limit, config.options_per_span) == (0, None)
+
+
 def test_translate_requires_fit():
     with pytest.raises(NotFittedError):
         PhraseBasedTranslator().translate(("a",))
