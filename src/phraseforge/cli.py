@@ -45,7 +45,7 @@ from .corpus import (
 from .decoder import FEATURE_NAMES, DecodeError
 from .lm import SMOOTHING_METHODS
 from .metrics import report
-from .translator import SETTINGS, PhraseBasedTranslator
+from .translator import PhraseBasedTranslator
 from .tuning import MertTuner
 
 logger = logging.getLogger(__name__)
@@ -167,12 +167,10 @@ def cmd_train(args) -> int:
 
     corpus = read_parallel(corpus_stem, config.source_lang, config.target_lang)
     model = PhraseBasedTranslator(
-        weights=config.weights, **{name: getattr(config, name) for name in SETTINGS}
+        weights=config.weights, **{name: getattr(config, name) for name in PARAM_KEYS}
     )
     model.fit(corpus)
-    config_path = model.save(
-        args.out, config.source_lang, config.target_lang, train_stem=corpus_stem
-    )
+    config_path = model.save(args.out, train_stem=corpus_stem)
     logger.info("trained on %d pairs", len(corpus))
     print(config_path)
     return 0

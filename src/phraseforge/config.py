@@ -11,6 +11,7 @@ for canonically ordered input, modulo comments.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import typing
 from dataclasses import dataclass, field, fields
@@ -76,8 +77,9 @@ def _parse_value(section: str, key: str, raw: str, kind, path: str):
 
 
 def validate_config(config: RunConfig, path: str | None = None) -> None:
-    """Raise ConfigError unless every [params] setting is in range; path,
-    if given, names the file the settings came from."""
+    """Raise ConfigError unless every [params] setting is in range and
+    every weight is finite; path, if given, names the file the settings
+    came from."""
     if not config.source_lang or not config.target_lang:
         raise ConfigError("source_lang and target_lang must be non-empty", path=path)
     if config.smoothing not in SMOOTHING_METHODS:
@@ -112,6 +114,9 @@ def validate_config(config: RunConfig, path: str | None = None) -> None:
         raise ConfigError(
             f"options_per_span must be >= 1, got {config.options_per_span}", path=path
         )
+    for name, value in zip(FEATURE_NAMES, config.weights.as_vector()):
+        if not math.isfinite(value):
+            raise ConfigError(f"weight {name} must be finite, got {value}", path=path)
 
 
 def _check_paths(config: RunConfig, path: str) -> None:

@@ -29,17 +29,22 @@ Search keeps one stack per number of covered source words. Hypotheses
 recombine on (coverage, LM state, end position); when a reordering table
 is active the key also carries the last phrase's span and backward
 distribution, which the next transition's score depends on. Recombined
-losers stay in the lattice as extra arcs, which is what nbest() walks.
+losers stay in the lattice as extra arcs.
+
+decode() and nbest() draw from one lazy k-best enumeration of the
+lattice's paths (Huang & Chiang 2005, "Better k-best parsing",
+Algorithm 3): decode() is its first path. A node's first path ends in
+the best arc the search kept for it; its heap of candidates for later
+paths is built only when its second path is asked for.
 
 Lattice arcs carry their weighted score only. The feature totals of a
 returned derivation come from BeamDecoder.score_derivation(), which
 replays the derivation's options through the same LM, translation,
 reordering, penalty and distortion terms; a step's LM and reordering
-terms come from _step, the one function the search scores arcs with.
-The replay sums the terms in the order the options were applied, so
-decode() and the first nbest() entry agree bitwise. An arc's score is
-math.fsum over the nine weighted terms, which is exactly rounded and so
-equals FeatureWeights.dot of its features.
+terms come from _step, the one function the search scores arcs with,
+and its nine features from _step_features. An arc's score is math.fsum
+over the nine weighted terms, which is exactly rounded and so equals
+FeatureWeights.dot of its features.
 """
 
 from __future__ import annotations
@@ -191,6 +196,14 @@ def _safe_log(p: float) -> float:
     return math.log(p) if p > 0.0 else NEG_INF
 
 
+def _step_features(
+    opt: TranslationOption, lm_sum: float, reo_feat: float, distortion: float
+) -> tuple[float, ...]:
+    """The nine features of applying opt, in FEATURE_NAMES order, given
+    its LM log-probability sum, reordering feature and distortion."""
+    return (lm_sum, *opt.tm_logs, reo_feat, float(len(opt.tgt)), 1.0, distortion)
+
+
 def future_cost_table(
     options: Iterable[TranslationOption],
     n: int,
@@ -209,8 +222,7 @@ def future_cost_table(
     span_best: dict[tuple[int, int], float] = {}
     for opt in options:
         lm_est = math.fsum(lm.logprob(w, ()) for w in opt.tgt)
-        features = (lm_est, *opt.tm_logs, 0.0, float(len(opt.tgt)), 1.0, 0.0)
-        score = weights.dot(features)
+        score = weights.dot(_step_features(opt, lm_est, 0.0, 0.0))
         key = (opt.start, opt.end)
         if score > span_best.get(key, NEG_INF):
             span_best[key] = score
@@ -231,6 +243,11 @@ class _Arc(NamedTuple):
     pred: "_Node"
     option: TranslationOption | None  # None marks the completion transition
     score: float
+
+    @property
+    def tgt(self) -> tuple[str, ...]:
+        """The target words this arc appends to a path through pred."""
+        return self.option.tgt if self.option is not None else ()
 
 
 class _Node:
@@ -263,16 +280,12 @@ class _Node:
         if self.best_arc is None or candidate > self.score:
             self.score = candidate
             self.best_arc = arc
-            self.target = arc.pred.target + (arc.option.tgt if arc.option else ())
+            self.target = arc.pred.target + arc.tgt
         elif candidate == self.score:
-            target = arc.pred.target + (arc.option.tgt if arc.option else ())
+            target = arc.pred.target + arc.tgt
             if target < self.target:
                 self.best_arc = arc
                 self.target = target
-
-
-def _steps(options: Sequence[TranslationOption]) -> tuple[tuple[int, int, tuple[str, ...]], ...]:
-    return tuple((opt.start, opt.end, opt.tgt) for opt in options)
 
 
 class BeamDecoder:
@@ -320,32 +333,24 @@ class BeamDecoder:
 
     def decode(self, tokens: Iterable[str]) -> DecodeResult:
         """Best-scoring complete derivation for one source sentence."""
-        tokens = check_sentence(tokens)
-        lm_memo: dict = {}
-        final = self._search(tokens, lm_memo)
-        options = []
-        node = final
-        while node.best_arc is not None:
-            arc = node.best_arc
-            if arc.option is not None:
-                options.append(arc.option)
-            node = arc.pred
-        options.reverse()
-        features = self.score_derivation(options, len(tokens), lm_memo)
-        return DecodeResult(final.target, final.score, features, _steps(options))
+        return next(self._derivations(tokens))
 
     def nbest(self, tokens: Iterable[str], n: int) -> list[DecodeResult]:
         """The n best distinct derivations, best first."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        return list(itertools.islice(self._derivations(tokens), n))
+
+    def _derivations(self, tokens: Iterable[str]):
+        """The complete derivations of one source sentence, best first,
+        each enumerated when it is asked for."""
         tokens = check_sentence(tokens)
         lm_memo: dict = {}
         final = self._search(tokens, lm_memo)
-
-        def features(options):
-            return self.score_derivation(options, len(tokens), lm_memo)
-
-        return list(itertools.islice(_KBest(final, features).derivations(), n))
+        for score, target, options in _KBest(final).paths():
+            features = self.score_derivation(options, len(tokens), lm_memo)
+            steps = tuple((opt.start, opt.end, opt.tgt) for opt in options)
+            yield DecodeResult(target, score, features, steps)
 
     def score_derivation(
         self,
@@ -369,14 +374,7 @@ class BeamDecoder:
             lm_sum, state, reo_feat = self._step(
                 lm_memo, state, opt, prev_start, prev_end, prev_bwd
             )
-            features = (
-                lm_sum,
-                *opt.tm_logs,
-                reo_feat,
-                float(len(opt.tgt)),
-                1.0,
-                -float(abs(opt.start - prev_end)),
-            )
+            features = _step_features(opt, lm_sum, reo_feat, -float(abs(opt.start - prev_end)))
             totals = tuple(a + b for a, b in zip(totals, features))
             prev_start, prev_end = opt.start, opt.end
             prev_bwd = opt.bwd_reo if self.reordering_table is not None else None
@@ -439,7 +437,7 @@ class BeamDecoder:
         reo_on = self.reordering_table is not None
         limit = self.distortion_limit
         wvec = weights.as_vector()
-        w_lm, w_reo, w_dist = wvec[0], wvec[5], wvec[8]
+        w_lm, w_reo, w_dist = weights.lm, weights.reordering, weights.distortion
         fsum = math.fsum
         step = self._step
         future_memo: dict[int, float] = {}
@@ -465,14 +463,15 @@ class BeamDecoder:
         # Options by start position, in build_options order (end, then
         # target), so that once one overlaps a coverage every later one at
         # that start does too. Each carries the weighted terms that do not
-        # depend on the hypothesis: four translation scores, word penalty
-        # and phrase penalty. It also carries its part of the recombination
-        # key (see the module docstring).
+        # depend on the hypothesis: all but the LM, reordering and
+        # distortion ones, which each arc adds. It also carries its part of
+        # the recombination key (see the module docstring).
         by_start: list[list[tuple]] = [[] for _ in range(n)]
         for opt in options:
-            static = tuple(w * f for w, f in zip(wvec[1:5], opt.tm_logs)) + (
-                wvec[6] * float(len(opt.tgt)),
-                wvec[7] * 1.0,
+            static = tuple(
+                w * f
+                for name, w, f in zip(FEATURE_NAMES, wvec, _step_features(opt, 0.0, 0.0, 0.0))
+                if name not in ("lm", "reordering", "distortion")
             )
             recombine = (opt.start, opt.end, opt.bwd_reo) if reo_on else opt.end
             by_start[opt.start].append((opt, opt.mask, static, recombine))
@@ -535,7 +534,7 @@ class BeamDecoder:
         final = _Node((1 << n) - 1, (), (0, n), None, 0.0)
         for node in stacks[n].values():
             features = self._completion_features(node.lm_state, node.span[1], node.bwd_reo, n)
-            final.offer(_Arc(node, None, fsum(w * f for w, f in zip(wvec, features))))
+            final.offer(_Arc(node, None, weights.dot(features)))
         if not final.arcs:
             raise DecodeError(
                 f"no complete derivation for {' '.join(tokens)!r} "
@@ -547,61 +546,60 @@ class BeamDecoder:
 class _KBest:
     """Lazy k-best path enumeration over the search lattice.
 
-    A path is (score, target, options); features(options) gives the
-    feature totals of each derivation yielded.
+    A path to a node is (score, target, arc, idx): it ends in arc and
+    continues the idx-th best path to arc.pred. A node's first path ends
+    in its best arc, with the score and target the search left on it.
+    Its heap of candidates for later paths is built when its second path
+    is asked for; ties break toward the smaller target, then the earlier
+    push, as the search breaks them.
     """
 
-    _BASE = (0.0, (), ())
-
-    def __init__(self, final: _Node, features):
+    def __init__(self, final: _Node):
         self.final = final
-        self.features = features
-        self.states: dict[int, dict] = {}
+        self.out: dict[int, list[tuple]] = {}
+        self.heaps: dict[int, list[tuple]] = {}
+        self.counter = itertools.count()
 
-    def derivations(self):
+    def paths(self):
+        """(score, target, options) of each path to the final node, best
+        first."""
         k = 0
-        while True:
-            entry = self._kth(self.final, k)
-            if entry is None:
-                return
-            score, target, options = entry
-            yield DecodeResult(target, score, self.features(options), _steps(options))
+        while (path := self._kth(self.final, k)) is not None:
+            options = []
+            _, _, arc, idx = path
+            while arc is not None:
+                if arc.option is not None:
+                    options.append(arc.option)
+                _, _, arc, idx = self._kth(arc.pred, idx)
+            options.reverse()
+            yield path[0], path[1], options
             k += 1
 
-    def _state(self, node: _Node) -> dict:
-        state = self.states.get(id(node))
-        if state is None:
-            heap = []
-            counter = itertools.count()
-            for arc in node.arcs:
-                first = self._kth(arc.pred, 0)
-                score = first[0] + arc.score
-                target = first[1] + (arc.option.tgt if arc.option else ())
-                heapq.heappush(heap, (-score, target, next(counter), arc, 0))
-            state = {"out": [], "heap": heap, "counter": counter}
-            self.states[id(node)] = state
-        return state
-
     def _kth(self, node: _Node, k: int):
-        if not node.arcs:  # the initial hypothesis
-            return self._BASE if k == 0 else None
-        state = self._state(node)
-        out, heap = state["out"], state["heap"]
+        out = self.out.get(id(node))
+        if out is None:
+            out = self.out[id(node)] = [(node.score, node.target, node.best_arc, 0)]
+        if k < len(out):
+            return out[k]
+        best = node.best_arc
+        if best is None:  # the initial hypothesis has one path
+            return None
+        heap = self.heaps.get(id(node))
+        if heap is None:
+            heap = self.heaps[id(node)] = []
+            for arc in node.arcs:
+                if arc is not best:
+                    self._push(heap, arc, 0)
+            self._push(heap, best, 1)
         while len(out) <= k and heap:
-            neg_score, _, _, arc, idx = heapq.heappop(heap)
-            pred_entry = self._kth(arc.pred, idx)
-            score = pred_entry[0] + arc.score
-            target = pred_entry[1]
-            options = pred_entry[2]
-            if arc.option is not None:
-                target = target + arc.option.tgt
-                options = options + (arc.option,)
-            out.append((score, target, options))
-            succ = self._kth(arc.pred, idx + 1)
-            if succ is not None:
-                s_score = succ[0] + arc.score
-                s_target = succ[1] + (arc.option.tgt if arc.option else ())
-                heapq.heappush(
-                    heap, (-s_score, s_target, next(state["counter"]), arc, idx + 1)
-                )
+            path = heapq.heappop(heap)[-1]
+            out.append(path)
+            self._push(heap, path[2], path[3] + 1)
         return out[k] if k < len(out) else None
+
+    def _push(self, heap: list, arc: _Arc, idx: int) -> None:
+        """Push the idx-th path to arc.pred continued by arc, if it exists."""
+        pred = self._kth(arc.pred, idx)
+        if pred is not None:
+            path = (pred[0] + arc.score, pred[1] + arc.tgt, arc, idx)
+            heapq.heappush(heap, (-path[0], path[1], next(self.counter), path))

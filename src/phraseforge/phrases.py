@@ -307,15 +307,15 @@ class PhraseTable:
         return sum(len(t) for t in self.entries.values())
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for src in sorted(self.entries):
-                for tgt in sorted(self.entries[src]):
-                    s = self.entries[src][tgt]
-                    fh.write(
-                        f"{' '.join(src)} ||| {' '.join(tgt)} ||| "
-                        f"{s.phrase_st:.12g} {s.lex_st:.12g} "
-                        f"{s.phrase_ts:.12g} {s.lex_ts:.12g}\n"
-                    )
+        _write_scored_lines(
+            path,
+            4,
+            (
+                (src, tgt, self.entries[src][tgt])
+                for src in sorted(self.entries)
+                for tgt in sorted(self.entries[src])
+            ),
+        )
 
     @classmethod
     def read(cls, path: str) -> "PhraseTable":
@@ -340,13 +340,15 @@ class ReorderingTable:
         return len(self.entries)
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for src, tgt in sorted(self.entries):
-                e = self.entries[(src, tgt)]
-                fh.write(
-                    "%s ||| %s ||| %.12g %.12g %.12g %.12g %.12g %.12g\n"
-                    % (" ".join(src), " ".join(tgt), *e.forward, *e.backward)
-                )
+        entries = self.entries
+        _write_scored_lines(
+            path,
+            6,
+            (
+                (src, tgt, entries[src, tgt].forward + entries[src, tgt].backward)
+                for src, tgt in sorted(entries)
+            ),
+        )
 
     @classmethod
     def read(cls, path: str) -> "ReorderingTable":
@@ -357,6 +359,22 @@ class ReorderingTable:
                 for src, tgt, v in lines
             }
         )
+
+
+def _write_scored_lines(path: str, width: int, lines) -> None:
+    """Write each (source tokens, target tokens, numbers) of lines as the
+    line `src ||| tgt ||| numbers` that _read_scored_lines reads, with
+    width numbers in %.12g. Each distinct number tuple is formatted once:
+    the reordering table repeats few of them, since its counts are small
+    integers."""
+    number_format = " ".join(["%.12g"] * width)
+    formatted: dict[tuple[float, ...], str] = {}
+    with open(path, "w", encoding="utf-8") as fh:
+        for src, tgt, numbers in lines:
+            text = formatted.get(numbers)
+            if text is None:
+                text = formatted[numbers] = number_format % numbers
+            fh.write(f"{' '.join(src)} ||| {' '.join(tgt)} ||| {text}\n")
 
 
 def _read_scored_lines(path: str, width: int, table: str, value: str):

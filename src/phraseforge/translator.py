@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .base import BaseEstimator, DataError, check_is_fitted
 from .align import IBM1Aligner, _as_pairs, symmetrize, viterbi_align, write_pharaoh
-from .config import RunConfig, read_config, validate_config, write_config
+from .config import PARAM_KEYS, RunConfig, read_config, validate_config, write_config
 from .corpus import ParallelCorpus
 from .decoder import BeamDecoder, DecodeResult, FeatureWeights
 from .lm import NGramLanguageModel, read_arpa
@@ -56,9 +56,10 @@ def _stage(name: str):
 class PhraseBasedTranslator(BaseEstimator):
     """The whole toolkit behind one estimator.
 
-    The constructor checks the settings with the run config's validator,
-    so a setting that load() would reject fails here, before fit() reads
-    any corpus.
+    The constructor parameters but weights are the run config's [params]
+    keys, in PARAM_KEYS order. The constructor checks them and the weights
+    with the run config's validator, so a setting that load() would reject
+    fails here, before fit() reads any corpus.
 
     Fitted attributes: lm_, ttable_fwd_ (t(target|source)), ttable_rev_,
     alignments_ (symmetrized, one per training pair), phrase_table_,
@@ -69,6 +70,8 @@ class PhraseBasedTranslator(BaseEstimator):
 
     def __init__(
         self,
+        source_lang: str = "src",
+        target_lang: str = "tgt",
         order: int = 3,
         smoothing: str = "witten-bell",
         add_k: float = 0.5,
@@ -80,6 +83,8 @@ class PhraseBasedTranslator(BaseEstimator):
         options_per_span: int | None = 20,
         weights: FeatureWeights | None = None,
     ):
+        self.source_lang = source_lang
+        self.target_lang = target_lang
         self.order = order
         self.smoothing = smoothing
         self.add_k = add_k
@@ -90,7 +95,10 @@ class PhraseBasedTranslator(BaseEstimator):
         self.distortion_limit = distortion_limit
         self.options_per_span = options_per_span
         self.weights = weights
-        validate_config(RunConfig(**{name: getattr(self, name) for name in SETTINGS}))
+        config = RunConfig(**{name: getattr(self, name) for name in PARAM_KEYS})
+        if weights is not None:
+            config.weights = weights
+        validate_config(config)
 
     def fit(self, corpus: ParallelCorpus | Iterable) -> "PhraseBasedTranslator":
         """Train every model on a tokenized parallel corpus.
@@ -173,17 +181,26 @@ class PhraseBasedTranslator(BaseEstimator):
         check_is_fitted(self, "decoder_")
         return self.decoder_.nbest(tokens, n)
 
-    def save(
-        self,
-        out_dir: str,
-        source_lang: str = "src",
-        target_lang: str = "tgt",
-        train_stem: str | None = None,
-    ) -> str:
+    def save(self, out_dir: str, train_stem: str | None = None) -> str:
         """Write all model files plus a run config into out_dir; returns
         the config path. File names inside the config are relative, so
-        the directory can be moved as a unit."""
+        the directory can be moved as a unit. The run config is validated
+        before any file is written, so save() writes only what load()
+        accepts."""
         check_is_fitted(self, "decoder_")
+        config = RunConfig(
+            train_stem=os.path.abspath(train_stem) if train_stem else None,
+            lm=LM_FILE,
+            phrase_table=PHRASE_TABLE_FILE,
+            reordering_table=REORDERING_FILE if self.reordering_table_ is not None else None,
+            weights=self.weights_,
+            base_dir=out_dir,
+            **{
+                name: getattr(self.decoder_ if name in SEARCH_LIMITS else self, name)
+                for name in PARAM_KEYS
+            },
+        )
+        validate_config(config)
         os.makedirs(out_dir, exist_ok=True)
         self.lm_.write_arpa(os.path.join(out_dir, LM_FILE))
         self.phrase_table_.write(os.path.join(out_dir, PHRASE_TABLE_FILE))
@@ -191,20 +208,6 @@ class PhraseBasedTranslator(BaseEstimator):
             self.reordering_table_.write(os.path.join(out_dir, REORDERING_FILE))
         if getattr(self, "alignments_", None) is not None:
             write_pharaoh(self.alignments_, os.path.join(out_dir, ALIGNMENT_FILE))
-        config = RunConfig(
-            train_stem=os.path.abspath(train_stem) if train_stem else None,
-            lm=LM_FILE,
-            phrase_table=PHRASE_TABLE_FILE,
-            reordering_table=REORDERING_FILE if self.reordering_table_ is not None else None,
-            source_lang=source_lang,
-            target_lang=target_lang,
-            weights=self.weights_,
-            base_dir=out_dir,
-            **{
-                name: getattr(self.decoder_ if name in SEARCH_LIMITS else self, name)
-                for name in SETTINGS
-            },
-        )
         config_path = os.path.join(out_dir, CONFIG_FILE)
         write_config(config, config_path)
         return config_path
@@ -218,7 +221,7 @@ class PhraseBasedTranslator(BaseEstimator):
         if config.lm is None or config.phrase_table is None:
             raise DataError("config must name both an lm and a phrase_table")
         model = cls(
-            weights=config.weights, **{name: getattr(config, name) for name in SETTINGS}
+            weights=config.weights, **{name: getattr(config, name) for name in PARAM_KEYS}
         )
         model.lm_ = read_arpa(config.resolve("lm"))
         model.phrase_table_ = PhraseTable.read(config.resolve("phrase_table"))
@@ -230,8 +233,5 @@ class PhraseBasedTranslator(BaseEstimator):
         return model
 
 
-# Every constructor parameter but weights. Each is a [params] key of the
-# run config, which save() and load() copy by these names.
-SETTINGS = tuple(name for name in PhraseBasedTranslator._param_names() if name != "weights")
 # The settings passed to the decoder, which reads them afresh on each search.
 SEARCH_LIMITS = ("beam_size", "beam_threshold", "distortion_limit", "options_per_span")

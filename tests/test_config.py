@@ -162,6 +162,19 @@ def test_translator_rejects_what_the_loader_rejects(tmp_path, key, value, messag
     assert str(from_file.value) == f"{path}: {from_constructor.value}"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_weights_are_rejected_by_name(tmp_path, value):
+    body = "[weights]\n" + "".join(
+        f"{name} = {value if name == 'lex_ts' else 0.5}\n" for name in FEATURE_NAMES
+    )
+    path = write_ini(tmp_path, body)
+    with pytest.raises(ConfigError, match="weight lex_ts must be finite") as from_file:
+        read_config(path)
+    with pytest.raises(ConfigError) as from_constructor:
+        PhraseBasedTranslator(weights=FeatureWeights(lex_ts=float(value)))
+    assert str(from_file.value) == f"{path}: {from_constructor.value}"
+
+
 def test_config_errors_carry_the_file_path(tmp_path):
     path = write_ini(tmp_path, "[params]\norder = 9\n")
     with pytest.raises(ConfigError, match="run.ini"):

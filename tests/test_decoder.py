@@ -340,6 +340,32 @@ def test_pruned_search_scores_match_an_independent_rescoring():
     assert all(checked.values()), checked
 
 
+def test_nbest_order_does_not_depend_on_how_many_are_asked_for():
+    """Each lattice node's candidate heap is built when its second path is
+    first asked for, so a shorter request must be a prefix of a longer one,
+    ties included, and decode() must be the first entry."""
+    rng = random.Random(83)
+    settings = {"default": {}, "beam 10, limit 3": {"beam_size": 10, "distortion_limit": 3}}
+    checked = dict.fromkeys(settings, 0)
+    for trial in range(6):
+        tokens, table, reordering, lm, weights, _ = random_decoder_instance(
+            rng, with_reordering=trial % 2 == 0, min_sentence=8, max_sentence=14,
+            max_entries=120,
+        )
+        for name, kwargs in settings.items():
+            decoder = BeamDecoder(table, lm, reordering, weights, **kwargs)
+            try:
+                longest = decoder.nbest(tokens, 40)
+            except DecodeError:
+                continue
+            assert all(a.score >= b.score for a, b in zip(longest, longest[1:]))
+            assert decoder.decode(tokens) == decoder.nbest(tokens, 1)[0] == longest[0]
+            for k in (3, 17):
+                assert decoder.nbest(tokens, k) == longest[:k]
+            checked[name] += 1
+    assert all(checked.values()), checked
+
+
 def test_settings_changed_on_a_live_decoder_apply_to_the_next_search():
     """weights, beam_size and distortion_limit are read by each search,
     as MERT and the CLI rely on when they change them on a live decoder."""

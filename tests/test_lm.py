@@ -355,6 +355,22 @@ def test_read_arpa_rejects_count_mismatch(tmp_path):
         ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1 a b c\n\n\\end\\\n", "entry"),
         ("\\data\\\nngram 1=1\n\n\\1-grams:\nxx\ta\n\n\\end\\\n", "probability"),
         ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\ta\n\n\\end\\\nextra\n", "after"),
+        ("\\data\\\nngram 1=1\n\n\\one-grams:\n-0.1\ta\n\n\\end\\\n", "malformed section"),
+        ("hello\n\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\ta\n\n\\end\\\n", "expected \\\\data"),
+        ("\\data\\\nngram 1=1\nstray\n\n\\1-grams:\n-0.1\ta\n\n\\end\\\n", "unexpected line"),
+        (
+            "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.1\ta\n\n"
+            "\\2-grams:\n-0.1 a\n\n\\end\\\n",
+            "malformed entry",
+        ),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\ta b\n\n\\end\\\n", "has 2 tokens"),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.1\ta\tx\n\n\\end\\\n", "bad backoff"),
+        ("\\data\\\n\\end\\\n", "no n-gram counts"),
+        ("\\data\\\nngram 2=1\n\n\\2-grams:\n-0.1\ta b\n\n\\end\\\n", "missing ngram 1"),
+        (
+            "\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.1\ta\n\n\\end\\\n",
+            "file contains 0",
+        ),
     ],
 )
 def test_read_arpa_rejects_malformed_files(tmp_path, body, message):

@@ -1,16 +1,18 @@
 """The end-to-end estimator: train, translate, save, load."""
 
 import gc
+import math
+import os
 import random
 import shutil
 
 import pytest
 
-from phraseforge.base import DataError, NotFittedError
+from phraseforge.base import ConfigError, DataError, NotFittedError
 from phraseforge.config import PARAM_KEYS, RunConfig, read_config, validate_config
 from phraseforge.corpus import ParallelCorpus, SentencePair
 from phraseforge.decoder import DecodeResult, FeatureWeights
-from phraseforge.translator import SETTINGS, PhraseBasedTranslator
+from phraseforge.translator import PhraseBasedTranslator
 from phraseforge.tuning import MertTuner
 
 
@@ -101,6 +103,31 @@ def test_save_writes_the_search_limits_set_on_the_decoder(tmp_path):
     assert (config.distortion_limit, config.options_per_span) == (0, None)
 
 
+@pytest.mark.parametrize(
+    "attr,value,message",
+    [
+        ("beam_size", 0, "beam_size must be >= 1"),
+        ("distortion_limit", -1, "distortion_limit must be >= 0"),
+        ("weights", FeatureWeights(lm=math.nan), "weight lm must be finite"),
+    ],
+)
+def test_save_writes_nothing_the_loader_would_reject(tmp_path, attr, value, message):
+    model = PhraseBasedTranslator().fit(mapped_corpus(random.Random(5)))
+    setattr(model.decoder_, attr, value)
+    out = tmp_path / "m"
+    with pytest.raises(ConfigError, match=message):
+        model.save(str(out))
+    assert not out.exists()
+
+
+def test_load_then_save_keeps_the_language_pair(tmp_path):
+    fixture = os.path.join(os.path.dirname(__file__), "fixtures", "bn-as", "run.ini")
+    model = PhraseBasedTranslator.load(fixture)
+    assert (model.source_lang, model.target_lang) == ("bn", "as")
+    config = read_config(model.save(str(tmp_path / "m")))
+    assert (config.source_lang, config.target_lang) == ("bn", "as")
+
+
 def test_translate_requires_fit():
     with pytest.raises(NotFittedError):
         PhraseBasedTranslator().translate(("a",))
@@ -119,9 +146,9 @@ def test_stage_failures_name_the_stage():
 def test_save_and_load_round_trip(tmp_path):
     rng = random.Random(13)
     pairs = mapped_corpus(rng)
-    model = PhraseBasedTranslator(order=2).fit(pairs)
+    model = PhraseBasedTranslator(source_lang="xx", target_lang="yy", order=2).fit(pairs)
     out = tmp_path / "model"
-    config_path = model.save(str(out), source_lang="xx", target_lang="yy")
+    config_path = model.save(str(out))
     assert config_path == str(out / "run.ini")
     for name in ("lm.arpa", "phrase-table.txt", "reordering-table.txt",
                  "alignments.pharaoh", "run.ini"):
@@ -130,12 +157,14 @@ def test_save_and_load_round_trip(tmp_path):
     for src, _ in pairs[:5]:
         assert loaded.translate(src) == model.translate(src)
     assert loaded.weights_ == model.weights_
-    assert loaded.order == 2
+    assert (loaded.source_lang, loaded.target_lang, loaded.order) == ("xx", "yy", 2)
     assert getattr(loaded, "alignments_", None) is None
 
 
 def random_settings(rng):
     return {
+        "source_lang": rng.choice(("src", "xx")),
+        "target_lang": rng.choice(("tgt", "yy")),
         "order": rng.randint(1, 5),
         "smoothing": rng.choice(("witten-bell", "add-k")),
         "add_k": rng.choice((0.0, rng.uniform(0.0, 2.0))),
@@ -156,18 +185,17 @@ def test_saved_settings_load_back_unchanged(tmp_path):
         validate_config(RunConfig(**settings))
         weights = FeatureWeights.from_vector(rng.uniform(-2.0, 2.0) for _ in range(9))
         model = PhraseBasedTranslator(weights=weights, **settings).fit(pairs)
-        config = read_config(model.save(str(tmp_path / f"m{k}"), "xx", "yy"))
-        assert (config.source_lang, config.target_lang) == ("xx", "yy")
+        config = read_config(model.save(str(tmp_path / f"m{k}")))
+        assert all(getattr(config, name) == settings[name] for name in settings)
         assert PhraseBasedTranslator.load(config).get_params() == model.get_params()
 
 
 def test_translator_settings_are_the_run_config_params():
     params = PhraseBasedTranslator().get_params()
-    assert set(SETTINGS) == set(params) - {"weights"}
-    assert set(SETTINGS) <= set(PARAM_KEYS)
+    assert tuple(name for name in params if name != "weights") == PARAM_KEYS
     defaults = RunConfig()
-    assert {name: params[name] for name in SETTINGS} == {
-        name: getattr(defaults, name) for name in SETTINGS
+    assert {name: params[name] for name in PARAM_KEYS} == {
+        name: getattr(defaults, name) for name in PARAM_KEYS
     }
 
 
