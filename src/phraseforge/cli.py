@@ -187,6 +187,8 @@ def cmd_tune(args) -> int:
     tuner.fit(devset, model.decoder_, initial=config.weights)
     for i, (before, after) in enumerate(tuner.history_, start=1):
         logger.info("tuning iteration %d: pool BLEU %.4f -> %.4f", i, before, after)
+    if tuner.skipped_:
+        logger.warning("%d dev sentence decode(s) skipped", len(tuner.skipped_))
 
     out_path = args.out or args.config
     tuned = dataclasses.replace(config, weights=tuner.weights_)

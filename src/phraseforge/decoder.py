@@ -28,14 +28,41 @@ comparisons and weight scaling still preserves the argmax.
 Search keeps one stack per number of covered source words. Hypotheses
 recombine on (coverage, LM state, end position); when a reordering table
 is active the key also carries the last phrase's span and backward
-distribution, which the next transition's score depends on. Recombined
-losers stay in the lattice as extra arcs.
+distribution, which the next transition's score depends on. A stack is
+pruned when it is expanded: its nodes are ranked by priority (score plus
+future estimate), the best beam_size are kept, and of those the ones
+within log(beam_threshold) of the best. Recombined losers stay in the
+lattice as extra arcs.
 
 decode() and nbest() draw from one lazy k-best enumeration of the
 lattice's paths (Huang & Chiang 2005, "Better k-best parsing",
 Algorithm 3): decode() is its first path. A node's first path ends in
 the best arc the search kept for it; its heap of candidates for later
 paths is built only when its second path is asked for.
+
+decode() and nbest(tokens, 1) read that first path alone, so their
+search builds only what the first path can use (after Moore & Quirk
+2007, "Faster beam-search decoding for phrasal SMT"), and finds the same
+path, score and features:
+
+- No lattice: a node keeps its best arc only.
+- Discard at insertion: an arc whose priority is below its stack's
+  floor is dropped before its node or arc is built. The floor is the
+  larger of the best priority offered to the stack so far plus
+  log(beam_threshold) and, once beam_size nodes exist, the smallest of
+  the beam_size largest priorities those nodes were created with. A
+  node's score only rises, so both are lower bounds on the cut the
+  stack's pruning makes: an arc below the floor gives any node it would
+  be the best arc of a priority that pruning removes. Every node that
+  survives pruning thus has the best arc, score and target of the full
+  search, and no node survives that the full search prunes. The final
+  stack is never pruned, so it discards nothing.
+- Bound before the LM: when the LM and reordering weights are >= 0 and
+  no LM query (NGramLanguageModel.max_logprob) or reordering
+  log-probability exceeds 0, their weighted terms are <= 0, so math.fsum
+  of an arc's other terms bounds its score (fsum rounds exactly, and
+  rounding is monotone). An arc whose bound is below the floor is
+  dropped before its LM lookup.
 
 Lattice arcs carry their weighted score only. The feature totals of a
 returned derivation come from BeamDecoder.score_derivation(), which
@@ -275,7 +302,8 @@ class _Node:
         self.best_arc: _Arc | None = None
 
     def offer(self, arc: _Arc) -> None:
-        self.arcs.append(arc)
+        """Keep arc as the best one if it scores higher, or equal with a
+        smaller target; the search appends it to arcs itself."""
         candidate = arc.pred.score + arc.score
         if self.best_arc is None or candidate > self.score:
             self.score = candidate
@@ -299,6 +327,11 @@ class BeamDecoder:
     (None = all). Ties anywhere break toward the lexicographically smaller
     target, so decoding is deterministic. weights and the four limits may
     be changed between calls; each search reads them afresh.
+
+    decode() and nbest(tokens, 1) search in the one-path mode of the
+    module docstring, which keeps no lattice and skips the arcs pruning
+    would drop; nbest(tokens, n) with n > 1 keeps the whole lattice. Both
+    return the same best derivation.
     """
 
     def __init__(
@@ -333,20 +366,21 @@ class BeamDecoder:
 
     def decode(self, tokens: Iterable[str]) -> DecodeResult:
         """Best-scoring complete derivation for one source sentence."""
-        return next(self._derivations(tokens))
+        return next(self._derivations(tokens, one_path=True))
 
     def nbest(self, tokens: Iterable[str], n: int) -> list[DecodeResult]:
         """The n best distinct derivations, best first."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return list(itertools.islice(self._derivations(tokens), n))
+        return list(itertools.islice(self._derivations(tokens, one_path=n == 1), n))
 
-    def _derivations(self, tokens: Iterable[str]):
+    def _derivations(self, tokens: Iterable[str], one_path: bool):
         """The complete derivations of one source sentence, best first,
-        each enumerated when it is asked for."""
+        each enumerated when it is asked for; with one_path, only the
+        first may be asked for."""
         tokens = check_sentence(tokens)
         lm_memo: dict = {}
-        final = self._search(tokens, lm_memo)
+        final = self._search(tokens, lm_memo, one_path)
         for score, target, options in _KBest(final).paths():
             features = self.score_derivation(options, len(tokens), lm_memo)
             steps = tuple((opt.start, opt.end, opt.tgt) for opt in options)
@@ -418,12 +452,15 @@ class BeamDecoder:
                 reo_feat += prev_bwd[orient]
         return hit[0], hit[1], reo_feat
 
-    def _search(self, tokens: tuple[str, ...], lm_memo: dict) -> _Node:
+    def _search(self, tokens: tuple[str, ...], lm_memo: dict, one_path: bool) -> _Node:
         """Fill the coverage stacks; returns the final lattice node.
 
         lm_memo maps (LM state, target phrase) to (log-probability sum,
         next state) for this sentence; it is filled here and by the
-        caller's replay of the derivations it returns.
+        caller's replay of the derivations it returns. With one_path the
+        caller reads only the best path, so no node keeps its arcs and no
+        arc is built that its stack's pruning would drop (see the module
+        docstring); the best path is the same either way.
         """
         n = len(tokens)
         options = build_options(
@@ -436,6 +473,7 @@ class BeamDecoder:
         span_future = future_cost_table(options, n, weights, self.lm)
         reo_on = self.reordering_table is not None
         limit = self.distortion_limit
+        beam_size = self.beam_size
         wvec = weights.as_vector()
         w_lm, w_reo, w_dist = weights.lm, weights.reordering, weights.distortion
         fsum = math.fsum
@@ -443,6 +481,8 @@ class BeamDecoder:
         future_memo: dict[int, float] = {}
 
         def future_of(coverage: int) -> float:
+            """The future estimate of coverage, memoized in future_memo
+            (which the expansion loop reads first)."""
             cached = future_memo.get(coverage)
             if cached is not None:
                 return cached
@@ -465,7 +505,15 @@ class BeamDecoder:
         # that start does too. Each carries the weighted terms that do not
         # depend on the hypothesis: all but the LM, reordering and
         # distortion ones, which each arc adds. It also carries its part of
-        # the recombination key (see the module docstring).
+        # the recombination key (see the module docstring) and, when the
+        # LM and reordering terms cannot be positive, the bound on its arc
+        # score at each jump distance.
+        bound_before_lm = one_path and w_lm >= 0.0 and self.lm.max_logprob <= 0.0
+        if bound_before_lm and reo_on:
+            bound_before_lm = w_reo >= 0.0 and all(
+                v <= 0.0 for opt in options for v in opt.fwd_reo + opt.bwd_reo
+            )
+        max_jump = n if limit is None else min(n, limit)
         by_start: list[list[tuple]] = [[] for _ in range(n)]
         for opt in options:
             static = tuple(
@@ -474,7 +522,12 @@ class BeamDecoder:
                 if name not in ("lm", "reordering", "distortion")
             )
             recombine = (opt.start, opt.end, opt.bwd_reo) if reo_on else opt.end
-            by_start[opt.start].append((opt, opt.mask, static, recombine))
+            bounds = None
+            if bound_before_lm:
+                bounds = [
+                    fsum((w_dist * -float(jump),) + static) for jump in range(max_jump + 1)
+                ]
+            by_start[opt.start].append((opt, opt.mask, static, recombine, bounds))
 
         init_state = self.lm.start_state
         init = _Node(0, init_state, (0, 0), None, future_of(0))
@@ -485,6 +538,25 @@ class BeamDecoder:
         threshold_log = (
             math.log(self.beam_threshold) if self.beam_threshold > 0.0 else NEG_INF
         )
+        # One-path floors, one per stack (see the module docstring). The
+        # final stack is never pruned, so its floor stays -inf, as every
+        # floor does without one_path.
+        floors = [NEG_INF] * (n + 1)
+        created: list[list[float]] = [[] for _ in range(n + 1)]
+
+        def raise_floor(covered: int, priority: float, is_new: bool) -> None:
+            """Note an arc of this priority offered to stack `covered`,
+            which created its node if is_new."""
+            floor = max(floors[covered], priority + threshold_log)
+            if is_new and beam_size is not None:
+                heap = created[covered]  # the beam_size best creation priorities
+                if len(heap) < beam_size:
+                    heapq.heappush(heap, priority)
+                elif priority > heap[0]:
+                    heapq.heapreplace(heap, priority)
+                if len(heap) == beam_size:
+                    floor = max(floor, heap[0])
+            floors[covered] = floor
 
         for covered in range(n):
             stack = stacks[covered]
@@ -493,13 +565,14 @@ class BeamDecoder:
             nodes = sorted(
                 stack.values(), key=lambda nd: (-(nd.score + nd.future), nd.target)
             )
-            if self.beam_size is not None:
-                nodes = nodes[: self.beam_size]
+            if beam_size is not None:
+                nodes = nodes[:beam_size]
             if threshold_log != NEG_INF and nodes:
                 cutoff = nodes[0].score + nodes[0].future + threshold_log
                 nodes = [nd for nd in nodes if nd.score + nd.future >= cutoff]
             for node in nodes:
                 coverage = node.coverage
+                score = node.score
                 state = node.lm_state
                 prev_start, prev_end = node.span
                 prev_bwd = node.bwd_reo
@@ -508,34 +581,54 @@ class BeamDecoder:
                 else:
                     starts = range(max(0, prev_end - limit), min(n, prev_end + limit + 1))
                 for start in starts:
-                    dist_term = w_dist * -float(abs(start - prev_end))
-                    for opt, mask, static, recombine in by_start[start]:
+                    jump = abs(start - prev_end)
+                    dist_term = w_dist * -float(jump)
+                    for opt, mask, static, recombine, bounds in by_start[start]:
                         if coverage & mask:
                             break
+                        new_cov = coverage | mask
+                        child_covered = new_cov.bit_count()
+                        floor = floors[child_covered]
+                        future = future_memo.get(new_cov)
+                        if future is None:
+                            future = future_of(new_cov)
+                        if bounds is not None and score + bounds[jump] + future < floor:
+                            continue
                         lm_sum, new_state, reo_feat = step(
                             lm_memo, state, opt, prev_start, prev_end, prev_bwd
                         )
                         arc_score = fsum((w_lm * lm_sum, w_reo * reo_feat, dist_term) + static)
-                        new_cov = coverage | mask
+                        priority = score + arc_score + future
+                        if priority < floor:
+                            continue
                         key = (new_cov, new_state, recombine)
-                        child_stack = stacks[new_cov.bit_count()]
+                        child_stack = stacks[child_covered]
                         child = child_stack.get(key)
-                        if child is None:
+                        is_new = child is None
+                        if is_new:
                             child = _Node(
                                 new_cov,
                                 new_state,
                                 (start, opt.end),
                                 opt.bwd_reo if reo_on else None,
-                                future_of(new_cov),
+                                future,
                             )
                             child_stack[key] = child
-                        child.offer(_Arc(node, opt, arc_score))
+                        arc = _Arc(node, opt, arc_score)
+                        if not one_path:
+                            child.arcs.append(arc)
+                        child.offer(arc)
+                        if one_path and child_covered < n:
+                            raise_floor(child_covered, priority, is_new)
 
         final = _Node((1 << n) - 1, (), (0, n), None, 0.0)
         for node in stacks[n].values():
             features = self._completion_features(node.lm_state, node.span[1], node.bwd_reo, n)
-            final.offer(_Arc(node, None, weights.dot(features)))
-        if not final.arcs:
+            arc = _Arc(node, None, weights.dot(features))
+            if not one_path:
+                final.arcs.append(arc)
+            final.offer(arc)
+        if final.best_arc is None:
             raise DecodeError(
                 f"no complete derivation for {' '.join(tokens)!r} "
                 f"(distortion_limit={self.distortion_limit}, beam_size={self.beam_size})"

@@ -198,6 +198,7 @@ class NGramLanguageModel(BaseEstimator):
 
         self.entries_ = entries
         self.vocab_ = frozenset(w for (w,) in probs[0])
+        self._max_logprob = _query_bound(self.order, entries)
 
     # -- queries ----------------------------------------------------------
 
@@ -225,6 +226,13 @@ class NGramLanguageModel(BaseEstimator):
         hist = self.entries_.get(context)
         alpha = hist[1] if hist is not None and hist[1] is not None else 0.0
         return alpha + self._backoff_query(word, context[1:])
+
+    @property
+    def max_logprob(self) -> float:
+        """No logprob() query of the fitted model exceeds this (see
+        _query_bound)."""
+        check_is_fitted(self, "entries_")
+        return self._max_logprob
 
     @property
     def start_state(self) -> Ngram:
@@ -298,7 +306,27 @@ class NGramLanguageModel(BaseEstimator):
         model = cls(order=order, open_vocab=UNK in vocab)
         model.entries_ = entries
         model.vocab_ = vocab
+        model._max_logprob = _query_bound(order, entries)
         return model
+
+
+def _query_bound(order: int, entries: dict[Ngram, list[float | None]]) -> float:
+    """An upper bound on every query of a model of this order over these
+    entries: the largest stored log-probability plus order - 1 times the
+    largest positive backoff weight (0 if there is none).
+
+    A query adds at most order - 1 backoff weights (or 0.0 for a history
+    with none) to one stored log-probability, as alpha + (rest). The bound
+    adds its backoff term one at a time in that same association, and
+    float addition is monotone, so no query rounds above it.
+    """
+    bound = max((e[0] for e in entries.values() if e[0] is not None), default=NEG_INF)
+    backoff = max(
+        (e[1] for e in entries.values() if e[1] is not None and e[1] > 0.0), default=0.0
+    )
+    for _ in range(order - 1):
+        bound = backoff + bound
+    return bound
 
 
 def read_arpa(path: str) -> NGramLanguageModel:

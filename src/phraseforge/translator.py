@@ -108,7 +108,10 @@ class PhraseBasedTranslator(BaseEstimator):
         Training keeps about a million containers alive at once (link
         sets, phrase tuples, t-table rows), which every collection would
         rescan, yet it creates no reference cycles: reference counting
-        alone frees what it drops.
+        alone frees what it drops. Before the collector is restored, the
+        objects training allocated are moved to the oldest generation
+        unscanned (gc.freeze, then gc.unfreeze), so the first young
+        collection after fit does not scan them all.
         """
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -116,6 +119,8 @@ class PhraseBasedTranslator(BaseEstimator):
             return self._fit(corpus)
         finally:
             if gc_was_enabled:
+                gc.freeze()
+                gc.unfreeze()
                 gc.enable()
 
     def _fit(self, corpus: ParallelCorpus | Iterable) -> "PhraseBasedTranslator":

@@ -18,14 +18,17 @@ short dev sets from flatlining at zero.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from typing import Iterable, Sequence
 
 from .base import BaseEstimator, DataError
 from .corpus import ParallelCorpus
-from .decoder import N_FEATURES, BeamDecoder, DecodeResult, FeatureWeights
+from .decoder import N_FEATURES, BeamDecoder, DecodeError, DecodeResult, FeatureWeights
 from .metrics import BleuStats, _as_reference_sets, sentence_stats, stats_bleu
+
+logger = logging.getLogger(__name__)
 
 _EPS = 1e-12
 RANDOM_DIRECTIONS = 8  # seeded random directions per round, after the 9 axes
@@ -224,7 +227,11 @@ class MertTuner(BaseEstimator):
 
     fit() decodes the dev corpus, grows the pool, and optimizes; fitted
     attributes expose the tuned weights, the pool, and the per-iteration
-    (before, after) pool-BLEU history.
+    (before, after) pool-BLEU history. A dev sentence whose n-best decode
+    raises DecodeError is logged and skipped for that iteration, and
+    skipped_ lists it as (iteration, sentence index), both from 0; the
+    pool and the line search pass over sentences with no entries. fit
+    raises DataError when no dev sentence has any.
     """
 
     def __init__(self, iterations: int = 5, nbest_size: int = 100, seed: int = 0):
@@ -249,11 +256,23 @@ class MertTuner(BaseEstimator):
         pool = NBestPool(references)
         best = initial if initial is not None else decoder.weights
         history = []
+        skipped = []
         for iteration in range(self.iterations):
             decoder.weights = best
             added = 0
             for i, pair in enumerate(pairs):
-                added += pool.add_results(i, decoder.nbest(pair[0], self.nbest_size))
+                try:
+                    results = decoder.nbest(pair[0], self.nbest_size)
+                except DecodeError as exc:
+                    logger.warning(
+                        "tuning iteration %d: dev sentence %d skipped: %s",
+                        iteration + 1, i + 1, exc,
+                    )
+                    skipped.append((iteration, i))
+                    continue
+                added += pool.add_results(i, results)
+            if len(pool) == 0:
+                raise DataError("no dev sentence could be decoded")
             before = pool_bleu(pool, best)
             best, after = optimize_weights(pool, best, seed=self.seed + iteration)
             if after < before - 1e-9:
@@ -267,4 +286,5 @@ class MertTuner(BaseEstimator):
         self.weights_ = best
         self.pool_ = pool
         self.history_ = history
+        self.skipped_ = skipped
         return self

@@ -21,7 +21,7 @@ from phraseforge.decoder import (
     build_options,
     future_cost_table,
 )
-from phraseforge.lm import NGramLanguageModel
+from phraseforge.lm import NGramLanguageModel, read_arpa
 from phraseforge.phrases import (
     PhraseScores,
     PhraseTable,
@@ -364,6 +364,114 @@ def test_nbest_order_does_not_depend_on_how_many_are_asked_for():
                 assert decoder.nbest(tokens, k) == longest[:k]
             checked[name] += 1
     assert all(checked.values()), checked
+
+
+# name -> (search settings, longest sentence tried). An unbounded beam
+# keeps every hypothesis within the threshold of the best, which took up
+# to seconds per sentence of 11-14 words.
+ONE_PATH_SETTINGS = {
+    "default": ({}, 14),
+    "beam 10, limit 3": ({"beam_size": 10, "distortion_limit": 3}, 14),
+    "beam 3, no threshold": ({"beam_size": 3, "beam_threshold": 0.0}, 14),
+    "no beam, threshold 1e-2": ({"beam_size": None, "beam_threshold": 1e-2}, 10),
+}
+
+# A bigram LM with positive backoff weights, so that some queries exceed
+# 0, such as t2 after t0 (log10 values; <s> has a backoff only).
+POSITIVE_BACKOFF_ARPA = """\\data\\
+ngram 1=8
+ngram 2=3
+
+\\1-grams:
+-0.8\t</s>
+-99\t<s>\t-0.3
+-1.0\t<unk>
+-0.7\tt0\t0.9
+-0.7\tt1\t0.8
+-0.3\tt2
+-0.7\tt3\t1.0
+-0.9\tt4
+
+\\2-grams:
+-0.2\t<s> t0
+-0.1\tt0 t1
+-0.3\tt1 </s>
+
+\\end\\
+"""
+
+
+def one_path_matches_the_lattice(decoder, tokens):
+    """decode() searches without a lattice, nbest(tokens, 2) with one.
+    Their first derivation must be the same, bit for bit, and either both
+    raise DecodeError or neither does; returns whether they decoded."""
+    try:
+        lattice = decoder.nbest(tokens, 2)[0]
+    except DecodeError:
+        with pytest.raises(DecodeError):
+            decoder.decode(tokens)
+        return False
+    assert decoder.decode(tokens) == lattice
+    return True
+
+
+def test_one_path_search_finds_the_lattice_search_best_derivation():
+    """The one-path search drops arcs below its stacks' floors, and when
+    the LM and reordering terms cannot be positive it drops them before
+    the LM lookup. Half the instances get a non-negative LM and
+    reordering weight and half a negative one, so the LM bound is both
+    used and not."""
+    rng = random.Random(89)
+    decoded = dict.fromkeys(ONE_PATH_SETTINGS, 0)
+    bounded = {True: 0, False: 0}
+    for trial in range(30):
+        tokens, table, reordering, lm, weights, _ = random_decoder_instance(
+            rng, with_reordering=trial % 2 == 0, min_sentence=8, max_sentence=14,
+            max_entries=120,
+        )
+        sign = 1.0 if trial % 4 < 2 else -1.0
+        weights = dataclasses.replace(
+            weights, lm=sign * abs(weights.lm), reordering=sign * abs(weights.reordering)
+        )
+        bounded[sign > 0 and lm.max_logprob <= 0.0] += 1
+        for name, (kwargs, longest) in ONE_PATH_SETTINGS.items():
+            if len(tokens) <= longest:
+                decoder = BeamDecoder(table, lm, reordering, weights, **kwargs)
+                decoded[name] += one_path_matches_the_lattice(decoder, tokens)
+    assert all(decoded.values()), decoded
+    assert all(bounded.values()), bounded
+
+
+def test_one_path_search_under_tight_beams_and_an_lm_above_zero(tmp_path):
+    """Short sentences at histogram limits of 1-3 and at thresholds alone,
+    where a floor one node too high or a discard in the final stack would
+    change the best derivation. Every third instance decodes with an LM
+    whose queries can exceed 0, at an LM weight of at least 1, where
+    bounding an arc before its LM lookup would drop the best one."""
+    path = tmp_path / "positive-backoff.arpa"
+    path.write_text(POSITIVE_BACKOFF_ARPA, encoding="utf-8")
+    positive_lm = read_arpa(str(path))
+    assert positive_lm.max_logprob > 0.0
+    assert positive_lm.logprob("t2", ("t0",)) > 0.0
+    settings = [{"beam_size": b, "beam_threshold": 0.0} for b in (1, 2, 3)]
+    settings += [{"beam_size": None, "beam_threshold": t} for t in (0.3, 0.05)]
+    settings.append({})
+    rng = random.Random(101)
+    decoded = 0
+    for trial in range(120):
+        tokens, table, reordering, lm, weights, _ = random_decoder_instance(
+            rng, with_reordering=trial % 2 == 0, min_sentence=4, max_sentence=8,
+            max_entries=40,
+        )
+        if trial % 3 == 0:
+            lm = positive_lm
+            weights = dataclasses.replace(
+                weights, lm=1.0 + abs(weights.lm), reordering=abs(weights.reordering)
+            )
+        for kwargs in settings:
+            decoder = BeamDecoder(table, lm, reordering, weights, **kwargs)
+            decoded += one_path_matches_the_lattice(decoder, tokens)
+    assert decoded
 
 
 def test_settings_changed_on_a_live_decoder_apply_to_the_next_search():

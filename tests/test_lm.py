@@ -5,6 +5,7 @@ independent linear-domain implementation of the same smoothing math, on a
 grid of corpora, orders, and smoothing settings.
 """
 
+import itertools
 import math
 import random
 
@@ -13,7 +14,7 @@ import pytest
 from helpers import ReferenceModel, random_pairs
 from phraseforge.base import DataError, NotFittedError, ParseError
 from phraseforge.corpus import BOS, EOS, UNK
-from phraseforge.lm import NGramLanguageModel, count_ngrams, read_arpa
+from phraseforge.lm import SMOOTHING_METHODS, NGramLanguageModel, count_ngrams, read_arpa
 
 NEG_INF = float("-inf")
 
@@ -424,3 +425,71 @@ def test_random_corpora_roundtrip_through_arpa(tmp_path):
                 assert back.logprob(word, context) == pytest.approx(
                     model.logprob(word, context), abs=1e-9
                 )
+
+
+# -- the query bound ------------------------------------------------------------
+
+
+def every_query(model, words):
+    """logprob of each of words after every context of up to order - 1
+    tokens drawn from words and <s>."""
+    histories = list(words) + [BOS]
+    for length in range(model.order):
+        for context in itertools.product(histories, repeat=length):
+            for word in words:
+                yield model.logprob(word, context)
+
+
+@pytest.mark.parametrize("smoothing", SMOOTHING_METHODS)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_no_query_of_a_fitted_model_exceeds_max_logprob(smoothing, order):
+    rng = random.Random(order)
+    for _ in range(6):
+        model = NGramLanguageModel(
+            order=order, smoothing=smoothing, add_k=rng.choice((0.0, 0.1, 1.0)),
+            open_vocab=rng.random() < 0.7,
+        ).fit(toy_sentences(rng))
+        words = sorted(model.vocab_) + ["zzz"]
+        assert max(every_query(model, words)) <= model.max_logprob
+
+
+def random_arpa(rng, order, words):
+    """ARPA text over words and <s> with random log10 probabilities in
+    [-2, 0.5] (a few -99, read as zero) and random backoff weights in
+    [-1, 1] on most entries."""
+    tokens = list(words) + [BOS]
+    sections = []
+    for k in range(1, order + 1):
+        grams = sorted(itertools.product(tokens, repeat=k))
+        if k > 1:
+            grams = sorted(rng.sample(grams, min(len(grams), 12)))
+        lines = []
+        for gram in grams:
+            logp = -99.0 if rng.random() < 0.1 else rng.uniform(-2.0, 0.5)
+            line = f"{logp!r}\t{' '.join(gram)}"
+            if rng.random() < 0.7:
+                line += f"\t{rng.uniform(-1.0, 1.0)!r}"
+            lines.append(line)
+        sections.append(lines)
+    header = "".join(f"ngram {k}={len(lines)}\n" for k, lines in enumerate(sections, 1))
+    body = "".join(
+        f"\n\\{k}-grams:\n" + "\n".join(lines) + "\n"
+        for k, lines in enumerate(sections, 1)
+    )
+    return "\\data\\\n" + header + body + "\n\\end\\\n"
+
+
+def test_no_query_of_a_read_model_exceeds_max_logprob(tmp_path):
+    """ARPA files need not be normalized: probabilities and backoff
+    weights above 1 raise the bound, which must still hold."""
+    rng = random.Random(17)
+    words = ("a", "b", "c", UNK, EOS)
+    positive = 0
+    for trial in range(30):
+        path = tmp_path / f"random-{trial}.arpa"
+        path.write_text(random_arpa(rng, 1 + trial % 3, words), encoding="utf-8")
+        model = read_arpa(str(path))
+        queries = list(every_query(model, words + ("zzz",)))
+        assert max(queries) <= model.max_logprob
+        positive += max(queries) > 0.0
+    assert positive

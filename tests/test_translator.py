@@ -237,3 +237,14 @@ def test_fit_leaves_the_garbage_collector_as_it_found_it():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_fit_hands_its_objects_to_the_oldest_generation():
+    """Training allocates far more containers than the youngest
+    generation's threshold with the collector paused; fit moves them out
+    of it, so the first young collection afterwards need not scan them."""
+    corpus = mapped_corpus(random.Random(7), n_pairs=200)
+    assert gc.isenabled()
+    PhraseBasedTranslator().fit(corpus)
+    young = gc.get_count()[0]
+    assert young < gc.get_threshold()[0] // 10, young

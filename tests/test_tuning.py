@@ -5,7 +5,7 @@ import random
 import pytest
 
 from phraseforge.base import DataError
-from phraseforge.decoder import BeamDecoder, FeatureWeights
+from phraseforge.decoder import BeamDecoder, DecodeError, FeatureWeights
 from phraseforge.lm import NGramLanguageModel
 from phraseforge.phrases import PhraseScores, PhraseTable
 from phraseforge.tuning import (
@@ -212,3 +212,44 @@ def test_mert_tuner_validates_inputs():
         MertTuner(nbest_size=0).fit(pairs, decoder)
     with pytest.raises(DataError, match="dev set"):
         MertTuner().fit([], decoder)
+
+
+class FailingDecoder(BeamDecoder):
+    """A decoder whose n-best search raises DecodeError on the sources in
+    `failing`."""
+
+    def __init__(self, *args, failing=(), **kwargs):
+        super().__init__(*args, **kwargs)
+        self.failing = set(failing)
+
+    def nbest(self, tokens, n):
+        if tuple(tokens) in self.failing:
+            raise DecodeError(f"no complete derivation for {' '.join(tokens)!r}")
+        return super().nbest(tokens, n)
+
+
+def test_mert_tuner_skips_a_dev_sentence_that_cannot_be_decoded(caplog):
+    rng = random.Random(23)
+    table, lm, pairs = toy_translation_task(rng, n_pairs=8)
+    bad = ("s0", "s3", "s1", "s2", "s2")
+    dev = pairs[:3] + [(bad, ("t0", "t3", "t1", "t2", "t2"))] + pairs[3:]
+    with caplog.at_level("WARNING", logger="phraseforge.tuning"):
+        tuner = MertTuner(iterations=3, nbest_size=20).fit(
+            dev, FailingDecoder(table, lm, failing=[bad])
+        )
+    assert tuner.skipped_ == [(iteration, 3) for iteration in range(len(tuner.history_))]
+    assert "dev sentence 4 skipped" in caplog.text
+    assert "s0 s3 s1 s2 s2" in caplog.text
+    assert tuner.pool_.entries[3] == {}
+    # the skipped sentence adds nothing, so tuning matches tuning without it
+    alone = MertTuner(iterations=3, nbest_size=20).fit(pairs, BeamDecoder(table, lm))
+    assert alone.skipped_ == []
+    assert (tuner.history_, tuner.weights_) == (alone.history_, alone.weights_)
+
+
+def test_mert_tuner_rejects_a_dev_set_it_cannot_decode_at_all():
+    rng = random.Random(29)
+    table, lm, pairs = toy_translation_task(rng, n_pairs=3)
+    decoder = FailingDecoder(table, lm, failing=[src for src, _ in pairs])
+    with pytest.raises(DataError, match="no dev sentence could be decoded"):
+        MertTuner(iterations=2, nbest_size=5).fit(pairs, decoder)
