@@ -83,7 +83,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, NamedTuple, Sequence
 
-from .base import check_sentence
+from .base import check_sentence, paused_gc
 from .corpus import EOS
 from .lm import NGramLanguageModel
 from .phrases import DISC, MONO, SWAP, PhraseTable, ReorderingTable
@@ -452,6 +452,7 @@ class BeamDecoder:
                 reo_feat += prev_bwd[orient]
         return hit[0], hit[1], reo_feat
 
+    @paused_gc()
     def _search(self, tokens: tuple[str, ...], lm_memo: dict, one_path: bool) -> _Node:
         """Fill the coverage stacks; returns the final lattice node.
 

@@ -7,11 +7,24 @@ box on either axis, and spans may extend over unaligned boundary words.
 Score columns, in file order and everywhere else: phi(s|t), lex(s|t),
 phi(t|s), lex(t|s), abbreviated st/ts for source-given-target and
 target-given-source.
+
+PhraseTable.read and ReorderingTable.read check every line of a table
+file when they read it and raise ParseError, with the line number, at
+the first bad one: three ' ||| '-separated fields, a non-empty source
+and target, and exactly 4 (or 6) numbers, each of which float() maps
+into (0, 1]. Numbers in the forms %.12g writes are checked by one
+pattern, any other text by converting it. What they defer is only the
+work a decoder may never need: a table keeps its checked lines as text,
+grouped by source phrase, and converts a source phrase's numbers and
+builds its rows on the first lookup of that phrase (entries, len() and
+write() build every row still pending). A decoder thus parses the few
+hundred source phrases its sentences contain, not the whole file.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -294,47 +307,114 @@ def _smooth_triple(
     return ((mono + sigma) / total, (swap + sigma) / total, (disc + sigma) / total)
 
 
-class PhraseTable:
+class _LazyTable:
+    """What PhraseTable and ReorderingTable share: built rows, plus the
+    checked lines of a table file whose rows are not built yet, grouped
+    by source phrase. A source phrase's rows are built on its first
+    lookup; entries, len() and write() build every row still pending.
+
+    read() sets lines_read and sources_read to the number of lines and
+    of distinct source phrases in the file (0 for a table built in
+    memory).
+    """
+
+    # file layout, and the names a ParseError gives the table and its numbers
+    _width: int
+    _table: str
+    _value: str
+
+    def __init__(self, entries: dict):
+        self._entries = entries
+        self._pending: dict[tuple[str, ...], list[str]] = {}
+        self.lines_read = self.sources_read = 0
+
+    @property
+    def entries(self) -> dict:
+        for src in list(self._pending):
+            self._build(src)
+        return self._entries
+
+    def _build(self, src: tuple[str, ...]) -> None:
+        """Build src's pending rows, if it has any. A line read later
+        replaces an earlier one for the same target, as in the file."""
+        lines = self._pending.get(src)
+        if lines is not None:
+            self._add_rows(src, [line.split(" ||| ")[1:] for line in lines])
+            self._pending.pop(src, None)
+
+    def _add_rows(self, src: tuple[str, ...], fields: list[list[str]]) -> None:
+        """Add the rows of src from the target and number text of its lines."""
+        raise NotImplementedError
+
+    @classmethod
+    def read(cls, path: str):
+        """The table in path, in the format write() writes. Every line is
+        checked here, and the first bad one raises ParseError; a line's
+        numbers are converted and its row built on the first lookup of
+        its source phrase."""
+        table = cls({})
+        table._pending = _read_scored_lines(path, cls._width, cls._table, cls._value)
+        table.sources_read = len(table._pending)
+        table.lines_read = sum(map(len, table._pending.values()))
+        return table
+
+
+class PhraseTable(_LazyTable):
     """Scored phrase pairs: {source tokens: {target tokens: PhraseScores}}."""
 
-    def __init__(self, entries: dict[tuple[str, ...], dict[tuple[str, ...], PhraseScores]]):
-        self.entries = entries
+    _width, _table, _value = 4, "phrase table", "score"
 
     def lookup(self, src: tuple[str, ...]) -> dict[tuple[str, ...], PhraseScores]:
-        return self.entries.get(tuple(src), {})
+        src = tuple(src)
+        row = self._entries.get(src)
+        if row is None:
+            self._build(src)
+            row = self._entries.get(src, {})
+        return row
+
+    def _add_rows(self, src, fields) -> None:
+        self._entries[src] = {
+            tuple(tgt.split()): PhraseScores(*map(float, numbers.split()))
+            for tgt, numbers in fields
+        }
 
     def __len__(self) -> int:
         return sum(len(t) for t in self.entries.values())
 
     def write(self, path: str) -> None:
+        entries = self.entries
         _write_scored_lines(
             path,
-            4,
+            self._width,
             (
-                (src, tgt, self.entries[src][tgt])
-                for src in sorted(self.entries)
-                for tgt in sorted(self.entries[src])
+                (src, tgt, entries[src][tgt])
+                for src in sorted(entries)
+                for tgt in sorted(entries[src])
             ),
         )
 
-    @classmethod
-    def read(cls, path: str) -> "PhraseTable":
-        entries: dict = defaultdict(dict)
-        for src, tgt, values in _read_scored_lines(path, 4, "phrase table", "score"):
-            entries[src][tgt] = PhraseScores(*values)
-        return cls(dict(entries))
 
-
-class ReorderingTable:
+class ReorderingTable(_LazyTable):
     """Lexicalized reordering distributions keyed by (source, target) tokens."""
 
-    def __init__(self, entries: dict[tuple, ReorderingEntry]):
-        self.entries = entries
+    _width, _table, _value = 6, "reordering", "probability"
 
     def lookup(
         self, src: tuple[str, ...], tgt: tuple[str, ...]
     ) -> ReorderingEntry | None:
-        return self.entries.get((tuple(src), tuple(tgt)))
+        key = (tuple(src), tuple(tgt))
+        entry = self._entries.get(key)
+        if entry is None:
+            self._build(key[0])
+            entry = self._entries.get(key)
+        return entry
+
+    def _add_rows(self, src, fields) -> None:
+        for tgt, numbers in fields:
+            v = [float(x) for x in numbers.split()]
+            self._entries[src, tuple(tgt.split())] = ReorderingEntry(
+                forward=tuple(v[:3]), backward=tuple(v[3:])
+            )
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -343,21 +423,11 @@ class ReorderingTable:
         entries = self.entries
         _write_scored_lines(
             path,
-            6,
+            self._width,
             (
                 (src, tgt, entries[src, tgt].forward + entries[src, tgt].backward)
                 for src, tgt in sorted(entries)
             ),
-        )
-
-    @classmethod
-    def read(cls, path: str) -> "ReorderingTable":
-        lines = _read_scored_lines(path, 6, "reordering", "probability")
-        return cls(
-            {
-                (src, tgt): ReorderingEntry(forward=tuple(v[:3]), backward=tuple(v[3:]))
-                for src, tgt, v in lines
-            }
         )
 
 
@@ -377,35 +447,69 @@ def _write_scored_lines(path: str, width: int, lines) -> None:
             fh.write(f"{' '.join(src)} ||| {' '.join(tgt)} ||| {text}\n")
 
 
-def _read_scored_lines(path: str, width: int, table: str, value: str):
-    """(source tokens, target tokens, numbers) for each non-blank line
-    `src ||| tgt ||| numbers` of path, with exactly width numbers, each
-    in (0, 1]. table and value name the table and its numbers in the
-    ParseError that a bad line raises."""
+# Number texts that float() maps into (0, 1]: "1"; "0." and 1 to 19
+# digits, not all zero (so at least 1e-19); and a nonzero digit with
+# optional fraction digits and an exponent from e-01 to e-99 (so from
+# 1e-99 to below 1). %.12g writes each number from 1e-99 to 1 in one of
+# these forms; any other text goes through the exact check.
+_NUMBER = r"(?:1|0\.(?=[0-9]*[1-9])[0-9]{1,19}|[1-9](?:\.[0-9]*)?e-(?:0[1-9]|[1-9][0-9]))"
+_NUMBERS = {
+    width: re.compile(_NUMBER + (" " + _NUMBER) * (width - 1) + "\n?")
+    for width in (4, 6)
+}
+
+
+def _read_scored_lines(
+    path: str, width: int, table: str, value: str
+) -> dict[tuple[str, ...], list[str]]:
+    """The non-blank lines `src ||| tgt ||| numbers` of path, grouped by
+    source tokens, in file order. Each line is checked: three fields,
+    non-empty source and target, exactly width numbers, each in (0, 1].
+    table and value name the table and its numbers in the ParseError
+    that a bad line raises."""
+    fast = _NUMBERS[width].fullmatch
+    groups: dict[tuple[str, ...], list[str]] = {}
+    text = group = None  # the last line's source text and group
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split(" ||| ")
+            fields = raw.split(" ||| ")
             if len(fields) != 3:
+                line = raw.rstrip("\n")
+                if not line.strip():
+                    continue
                 raise ParseError(
                     f"expected 'src ||| tgt ||| {width} numbers', got {line!r}",
                     path=path,
                     line=lineno,
                 )
-            src = tuple(fields[0].split())
-            tgt = tuple(fields[1].split())
-            numbers = fields[2].split()
-            if not src or not tgt or len(numbers) != width:
+            if fields[0] != text:
+                src = tuple(fields[0].split())
+                if not src:
+                    raise ParseError(f"malformed {table} entry", path=path, line=lineno)
+                text = fields[0]
+                group = groups.get(src)
+                if group is None:
+                    group = groups[src] = []
+            if not fields[1].strip():
                 raise ParseError(f"malformed {table} entry", path=path, line=lineno)
-            try:
-                values = [float(x) for x in numbers]
-            except ValueError:
-                raise ParseError(f"bad {value} in {fields[2]!r}", path=path, line=lineno)
-            for v in values:
-                if not (0.0 < v <= 1.0):
-                    raise ParseError(
-                        f"{table} {value} {v} outside (0, 1]", path=path, line=lineno
-                    )
-            yield src, tgt, values
+            if fast(fields[2]) is None:
+                _check_numbers(fields[2].rstrip("\n"), width, table, value, path, lineno)
+            group.append(raw)
+    return groups
+
+
+def _check_numbers(
+    text: str, width: int, table: str, value: str, path: str, lineno: int
+) -> None:
+    """Raise the ParseError of a line whose number field, text, does not
+    hold exactly width numbers, each in (0, 1]."""
+    numbers = text.split()
+    if len(numbers) != width:
+        raise ParseError(f"malformed {table} entry", path=path, line=lineno)
+    try:
+        values = [float(x) for x in numbers]
+    except ValueError:
+        raise ParseError(f"bad {value} in {text!r}", path=path, line=lineno)
+    for v in values:
+        if not (0.0 < v <= 1.0):
+            raise ParseError(f"{table} {value} {v} outside (0, 1]", path=path, line=lineno)

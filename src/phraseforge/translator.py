@@ -10,13 +10,13 @@ config so a trained system can be shipped as a directory of flat files.
 
 from __future__ import annotations
 
-import gc
 import logging
 import os
+import time
 from contextlib import contextmanager
 from typing import Iterable, Sequence
 
-from .base import BaseEstimator, DataError, check_is_fitted
+from .base import BaseEstimator, DataError, check_is_fitted, paused_gc
 from .align import IBM1Aligner, _as_pairs, symmetrize, viterbi_align, write_pharaoh
 from .config import PARAM_KEYS, RunConfig, read_config, validate_config, write_config
 from .corpus import ParallelCorpus
@@ -100,30 +100,15 @@ class PhraseBasedTranslator(BaseEstimator):
             config.weights = weights
         validate_config(config)
 
+    @paused_gc()
     def fit(self, corpus: ParallelCorpus | Iterable) -> "PhraseBasedTranslator":
         """Train every model on a tokenized parallel corpus.
 
-        The cyclic garbage collector is paused while training runs and
-        restored afterwards (left off if the caller had turned it off).
-        Training keeps about a million containers alive at once (link
-        sets, phrase tuples, t-table rows), which every collection would
-        rescan, yet it creates no reference cycles: reference counting
-        alone frees what it drops. Before the collector is restored, the
-        objects training allocated are moved to the oldest generation
-        unscanned (gc.freeze, then gc.unfreeze), so the first young
-        collection after fit does not scan them all.
+        Training runs with the cyclic garbage collector paused
+        (base.paused_gc): it keeps about a million containers alive at
+        once (link sets, phrase tuples, t-table rows), which every
+        collection would rescan, yet it creates no reference cycles.
         """
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return self._fit(corpus)
-        finally:
-            if gc_was_enabled:
-                gc.freeze()
-                gc.unfreeze()
-                gc.enable()
-
-    def _fit(self, corpus: ParallelCorpus | Iterable) -> "PhraseBasedTranslator":
         pairs = _as_pairs(corpus)
         if not pairs:
             raise DataError("cannot train on an empty corpus")
@@ -220,7 +205,9 @@ class PhraseBasedTranslator(BaseEstimator):
     @classmethod
     def load(cls, config: RunConfig | str) -> "PhraseBasedTranslator":
         """Rebuild a decoder-ready translator from a run config (path or
-        parsed). Training-only attributes stay unset."""
+        parsed). Training-only attributes stay unset. Logs at INFO its
+        wall time and each table's line and source-phrase counts."""
+        start = time.perf_counter()
         if isinstance(config, str):
             config = read_config(config)
         if config.lm is None or config.phrase_table is None:
@@ -235,6 +222,17 @@ class PhraseBasedTranslator(BaseEstimator):
             ReorderingTable.read(reordering) if reordering else None
         )
         model.decoder_ = model._make_decoder()
+        tables = [("phrase table", model.phrase_table_)]
+        if model.reordering_table_ is not None:
+            tables.append(("reordering table", model.reordering_table_))
+        logger.info(
+            "loaded the model in %.3f s; %s",
+            time.perf_counter() - start,
+            "; ".join(
+                f"{name}: {table.lines_read} lines, {table.sources_read} source phrases"
+                for name, table in tables
+            ),
+        )
         return model
 
 

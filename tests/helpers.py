@@ -10,6 +10,7 @@ import math
 from collections import Counter, defaultdict
 
 from phraseforge.align import AlignmentMatrix
+from phraseforge.base import ParseError
 from phraseforge.corpus import BOS, EOS, NULL_WORD, UNK
 from phraseforge.decoder import OOV_LOGPROB, FeatureWeights, TranslationOption, build_options
 from phraseforge.lm import NGramLanguageModel
@@ -323,6 +324,40 @@ def counting_reordering(occurrences, smoothing):
 
 
 # -- decoding -------------------------------------------------------------
+
+
+def eager_scored_lines(path, width, table, value):
+    """Every line `src ||| tgt ||| numbers` of a table file, read and
+    converted in one pass: (source, target, floats) per non-blank line,
+    or the ParseError of the first bad one. Each number must be a float
+    in (0, 1]."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            fields = line.split(" ||| ")
+            if len(fields) != 3:
+                raise ParseError(
+                    f"expected 'src ||| tgt ||| {width} numbers', got {line!r}",
+                    path=path,
+                    line=lineno,
+                )
+            src, tgt, numbers = fields[0].split(), fields[1].split(), fields[2].split()
+            if not src or not tgt or len(numbers) != width:
+                raise ParseError(f"malformed {table} entry", path=path, line=lineno)
+            try:
+                values = [float(x) for x in numbers]
+            except ValueError:
+                raise ParseError(f"bad {value} in {fields[2]!r}", path=path, line=lineno)
+            for v in values:
+                if not 0.0 < v <= 1.0:
+                    raise ParseError(
+                        f"{table} {value} {v} outside (0, 1]", path=path, line=lineno
+                    )
+            rows.append((tuple(src), tuple(tgt), tuple(values)))
+    return rows
 
 
 def capped_build_options(tokens, phrase_table, reordering_table=None, options_per_span=20):

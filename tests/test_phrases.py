@@ -4,11 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     consistent_boxes,
     counting_reordering,
     counting_score,
+    eager_scored_lines,
     random_alignment,
     rescanning_extract,
     sparse_em,
@@ -413,6 +416,98 @@ def test_reordering_table_read_rejects_bad_lines(tmp_path, line, message):
     path.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match=message):
         ReorderingTable.read(str(path))
+
+
+def test_tables_read_keep_the_last_of_a_duplicated_pair(tmp_path):
+    path = tmp_path / "pt.txt"
+    path.write_text(
+        "a ||| x ||| 0.5 0.5 0.5 0.5\n"
+        "a ||| y ||| 0.5 0.5 0.5 0.5\n"
+        "a ||| x ||| 0.25 0.125 1 1e-05\n",
+        encoding="utf-8",
+    )
+    table = PhraseTable.read(str(path))
+    assert table.lookup(("a",))[("x",)] == (0.25, 0.125, 1.0, 1e-05)
+    assert (len(table), table.lines_read, table.sources_read) == (2, 3, 1)
+    path.write_text(
+        "a ||| x ||| 0.5 0.5 0.5 0.5 0.5 0.5\na ||| x ||| 0.25 0.25 0.5 1 1 1\n",
+        encoding="utf-8",
+    )
+    reordering = ReorderingTable.read(str(path))
+    assert reordering.lookup(("a",), ("x",)) == ((0.25, 0.25, 0.5), (1.0, 1.0, 1.0))
+    assert len(reordering) == 1
+
+
+@pytest.mark.parametrize("cls,numbers", [(PhraseTable, 4), (ReorderingTable, 6)])
+def test_read_rejects_a_bad_line_whose_phrase_is_never_looked_up(tmp_path, cls, numbers):
+    good = " ".join(["0.5"] * numbers)
+    path = tmp_path / "table.txt"
+    path.write_text(
+        f"a ||| x ||| {good}\n\nb ||| y ||| {good} 0.5\nc ||| z ||| {good}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match="malformed") as raised:
+        cls.read(str(path))
+    assert raised.value.line == 3
+    assert str(raised.value).startswith(f"{path}:3: ")
+
+
+# Number texts from float formatting and by hand, inside and outside
+# (0, 1]; the fast path of the table readers must agree with float() on
+# every one.
+NUMBER_TEXTS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda x: "%.12g" % x),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda x: "%.12g" % x),
+    st.sampled_from(
+        [
+            "%.12g" % x
+            for x in (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-100, 1.0,
+                      math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1e-05)
+        ]
+        + ["1.0", "+0.5", ".5", "5E-1", "1e-400", "0." + "0" * 400 + "1", "nan",
+           "inf", "1_0", "0.", "0", "0.0000000000000000000", "0.0000000000000000001",
+           "0.00000000000000000001", "0.9999999999999999999999", "1e-00", "9e-00",
+           "9.99e-01", "1.e-05", "9e-100", "1e-9", "01", "0.5e-01", "-0.5", "١"]
+    ),
+    st.text(alphabet="0123456789.e-+E", max_size=24),
+)
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    data=st.data(),
+    text=NUMBER_TEXTS,
+    width=st.sampled_from([4, 6]),
+    separator=st.sampled_from([" ", "  ", "\t"]),
+)
+def test_table_read_agrees_with_the_eager_float_check(tmp_path, data, text, width, separator):
+    """A table file's line is accepted exactly when converting all its
+    numbers with float() finds each in (0, 1], with the same ParseError
+    otherwise, and a looked-up row holds those floats."""
+    numbers = ["0.5"] * width
+    numbers[data.draw(st.integers(0, width - 1))] = text
+    path = str(tmp_path / "table.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"a b ||| x ||| 0.5{' 0.25' * (width - 1)}\n")
+        fh.write(f"a b ||| y ||| {separator.join(numbers)}\n")
+    cls, table, value = (
+        (PhraseTable, "phrase table", "score")
+        if width == 4
+        else (ReorderingTable, "reordering", "probability")
+    )
+    try:
+        expected = eager_scored_lines(path, width, table, value)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as raised:
+            cls.read(path)
+        assert (str(raised.value), raised.value.line) == (str(exc), exc.line)
+        return
+    read = cls.read(path)
+    for src, tgt, values in expected:
+        if cls is PhraseTable:
+            assert read.lookup(src)[tgt] == values
+        else:
+            assert read.lookup(src, tgt) == (values[:3], values[3:])
 
 
 # -- agreement with the rescanning references ----------------------------------

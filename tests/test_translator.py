@@ -1,9 +1,11 @@
 """The end-to-end estimator: train, translate, save, load."""
 
 import gc
+import logging
 import math
 import os
 import random
+import re
 import shutil
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from phraseforge.base import ConfigError, DataError, NotFittedError
 from phraseforge.config import PARAM_KEYS, RunConfig, read_config, validate_config
 from phraseforge.corpus import ParallelCorpus, SentencePair
-from phraseforge.decoder import DecodeResult, FeatureWeights
+from phraseforge.decoder import DecodeError, DecodeResult, FeatureWeights
 from phraseforge.translator import PhraseBasedTranslator
 from phraseforge.tuning import MertTuner
 
@@ -161,6 +163,58 @@ def test_save_and_load_round_trip(tmp_path):
     assert getattr(loaded, "alignments_", None) is None
 
 
+def rounded(numbers):
+    """numbers as written to a table file and read back."""
+    return tuple(float("%.12g" % x) for x in numbers)
+
+
+def test_loaded_tables_answer_every_lookup_as_the_fitted_ones(tmp_path):
+    """load() keeps the table files' lines as text and builds a source
+    phrase's rows on its first lookup; every lookup, len() and a second
+    save agree with the fitted tables."""
+    model = PhraseBasedTranslator().fit(mapped_corpus(random.Random(17), n_pairs=40))
+    model.save(str(tmp_path / "first"))
+    loaded = PhraseBasedTranslator.load(str(tmp_path / "first" / "run.ini"))
+    table, loaded_table = model.phrase_table_, loaded.phrase_table_
+    reordering, loaded_reordering = model.reordering_table_, loaded.reordering_table_
+    assert loaded_table.sources_read == len(table.entries)
+    assert loaded_table.lines_read == loaded_reordering.lines_read == len(table)
+    for src, row in table.entries.items():
+        assert loaded_table.lookup(src) == {
+            tgt: rounded(scores) for tgt, scores in row.items()
+        }
+        for tgt in row:
+            entry = loaded_reordering.lookup(src, tgt)
+            expected = reordering.lookup(src, tgt)
+            assert (entry.forward, entry.backward) == (
+                rounded(expected.forward), rounded(expected.backward)
+            )
+    assert loaded_table.lookup(("s9",)) == {}
+    assert loaded_reordering.lookup(("s9",), ("t9",)) is None
+    assert (len(loaded_table), len(loaded_reordering)) == (len(table), len(reordering))
+
+    loaded = PhraseBasedTranslator.load(str(tmp_path / "first" / "run.ini"))
+    loaded.save(str(tmp_path / "second"))
+    for name in ("phrase-table.txt", "reordering-table.txt"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "second" / name).read_bytes() == first, name
+
+
+def test_load_logs_its_time_and_table_sizes(tmp_path, caplog):
+    model = PhraseBasedTranslator().fit(mapped_corpus(random.Random(17)))
+    config_path = model.save(str(tmp_path))
+    with caplog.at_level(logging.INFO, logger="phraseforge.translator"):
+        PhraseBasedTranslator.load(config_path)
+    sources = len(model.phrase_table_.entries)
+    lines = len(model.phrase_table_)
+    assert re.fullmatch(
+        rf"loaded the model in [0-9.]+ s; phrase table: {lines} lines, "
+        rf"{sources} source phrases; reordering table: {lines} lines, "
+        rf"{sources} source phrases",
+        caplog.messages[-1],
+    )
+
+
 def random_settings(rng):
     return {
         "source_lang": rng.choice(("src", "xx")),
@@ -224,15 +278,28 @@ def test_estimator_params_reflect_the_constructor():
 
 
 def test_fit_leaves_the_garbage_collector_as_it_found_it():
+    """fit and every decoder search pause the collector; each restores
+    it, whether it was on or off and whether the call raised."""
     corpus = mapped_corpus(random.Random(5))
     assert gc.isenabled()
     try:
-        PhraseBasedTranslator().fit(corpus)
+        model = PhraseBasedTranslator().fit(corpus)
         assert gc.isenabled()
         with pytest.raises(DataError, match="word-alignment"):
             PhraseBasedTranslator().fit([(("a",), ("b",)), ((), ("c",))])
         assert gc.isenabled()
-        gc.disable()
+        # With one hypothesis per stack, the search covers s0 first; the
+        # unknown word before it is then out of the distortion limit.
+        stranded = PhraseBasedTranslator(beam_size=1, distortion_limit=1).fit(corpus)
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            model.decoder_.decode(("s0", "s1", "s2"))
+            assert gc.isenabled() == enabled
+            assert len(model.decoder_.nbest(("s0", "s1", "s2"), 5)) == 5
+            assert gc.isenabled() == enabled
+            with pytest.raises(DecodeError):
+                stranded.decoder_.decode(("zz", "s0"))
+            assert gc.isenabled() == enabled
         PhraseBasedTranslator().fit(corpus)
         assert not gc.isenabled()
     finally:
