@@ -31,38 +31,40 @@ is active the key also carries the last phrase's span and backward
 distribution, which the next transition's score depends on. A stack is
 pruned when it is expanded: its nodes are ranked by priority (score plus
 future estimate), the best beam_size are kept, and of those the ones
-within log(beam_threshold) of the best. Recombined losers stay in the
-lattice as extra arcs.
+within log(beam_threshold) of the best.
 
-decode() and nbest() draw from one lazy k-best enumeration of the
-lattice's paths (Huang & Chiang 2005, "Better k-best parsing",
-Algorithm 3): decode() is its first path. A node's first path ends in
-the best arc the search kept for it; its heap of candidates for later
-paths is built only when its second path is asked for.
+Every search also discards at insertion, so it builds no node or arc
+that this pruning is bound to drop (after Moore & Quirk 2007, "Faster
+beam-search decoding for phrasal SMT"; Moses applies one such search to
+every request, whatever its n-best size):
 
-decode() and nbest(tokens, 1) read that first path alone, so their
-search builds only what the first path can use (after Moore & Quirk
-2007, "Faster beam-search decoding for phrasal SMT"), and finds the same
-path, score and features:
-
-- No lattice: a node keeps its best arc only.
-- Discard at insertion: an arc whose priority is below its stack's
-  floor is dropped before its node or arc is built. The floor is the
-  larger of the best priority offered to the stack so far plus
-  log(beam_threshold) and, once beam_size nodes exist, the smallest of
-  the beam_size largest priorities those nodes were created with. A
-  node's score only rises, so both are lower bounds on the cut the
-  stack's pruning makes: an arc below the floor gives any node it would
-  be the best arc of a priority that pruning removes. Every node that
-  survives pruning thus has the best arc, score and target of the full
-  search, and no node survives that the full search prunes. The final
-  stack is never pruned, so it discards nothing.
+- Floors: an arc whose priority is below its stack's floor is dropped
+  before its node or arc is built. The floor is the larger of the best
+  priority offered to the stack so far plus log(beam_threshold) and,
+  once beam_size nodes exist, the smallest of the beam_size largest
+  priorities those nodes were created with. A node's score only rises,
+  so both are lower bounds on the cut the stack's pruning makes: an arc
+  below the floor gives any node it would be the best arc of a priority
+  that pruning removes. Every node that survives pruning thus has the
+  best arc, score and target of the same search without floors, and no
+  node survives that that search prunes. The final stack is never
+  pruned, so it discards nothing.
 - Bound before the LM: when the LM and reordering weights are >= 0 and
   no LM query (NGramLanguageModel.max_logprob) or reordering
   log-probability exceeds 0, their weighted terms are <= 0, so math.fsum
   of an arc's other terms bounds its score (fsum rounds exactly, and
   rounding is monotone). An arc whose bound is below the floor is
   dropped before its LM lookup.
+
+decode() and nbest() draw from one lazy k-best enumeration of the
+lattice's paths (Huang & Chiang 2005, "Better k-best parsing",
+Algorithm 3): decode() is its first path. A node's first path ends in
+the best arc the search kept for it; its heap of candidates for later
+paths is built only when its second path is asked for. The lattice is
+every arc that survived insertion, recombined losers included; a search
+asked for one path reads only the best arcs, so its nodes keep no
+others. An n-best list is thus the best n paths among the arcs that
+survive insertion pruning, and its first entry is decode()'s.
 
 Lattice arcs carry their weighted score only. The feature totals of a
 returned derivation come from BeamDecoder.score_derivation(), which
@@ -328,10 +330,10 @@ class BeamDecoder:
     target, so decoding is deterministic. weights and the four limits may
     be changed between calls; each search reads them afresh.
 
-    decode() and nbest(tokens, 1) search in the one-path mode of the
-    module docstring, which keeps no lattice and skips the arcs pruning
-    would drop; nbest(tokens, n) with n > 1 keeps the whole lattice. Both
-    return the same best derivation.
+    Every search discards at insertion what its stacks' pruning would
+    drop (see the module docstring); the size of an n-best request only
+    decides whether nodes keep their arcs, so decode() and every nbest()
+    list start with the same derivation.
     """
 
     def __init__(
@@ -366,21 +368,23 @@ class BeamDecoder:
 
     def decode(self, tokens: Iterable[str]) -> DecodeResult:
         """Best-scoring complete derivation for one source sentence."""
-        return next(self._derivations(tokens, one_path=True))
+        return next(self._derivations(tokens, keep_arcs=False))
 
     def nbest(self, tokens: Iterable[str], n: int) -> list[DecodeResult]:
-        """The n best distinct derivations, best first."""
+        """The n best distinct derivations, best first: the n best paths
+        among the arcs that survive the search's insertion pruning (see
+        the module docstring). The first is decode()'s derivation."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        return list(itertools.islice(self._derivations(tokens, one_path=n == 1), n))
+        return list(itertools.islice(self._derivations(tokens, keep_arcs=n > 1), n))
 
-    def _derivations(self, tokens: Iterable[str], one_path: bool):
+    def _derivations(self, tokens: Iterable[str], keep_arcs: bool):
         """The complete derivations of one source sentence, best first,
-        each enumerated when it is asked for; with one_path, only the
+        each enumerated when it is asked for; without keep_arcs, only the
         first may be asked for."""
         tokens = check_sentence(tokens)
         lm_memo: dict = {}
-        final = self._search(tokens, lm_memo, one_path)
+        final = self._search(tokens, lm_memo, keep_arcs)
         for score, target, options in _KBest(final).paths():
             features = self.score_derivation(options, len(tokens), lm_memo)
             steps = tuple((opt.start, opt.end, opt.tgt) for opt in options)
@@ -453,15 +457,16 @@ class BeamDecoder:
         return hit[0], hit[1], reo_feat
 
     @paused_gc()
-    def _search(self, tokens: tuple[str, ...], lm_memo: dict, one_path: bool) -> _Node:
-        """Fill the coverage stacks; returns the final lattice node.
+    def _search(self, tokens: tuple[str, ...], lm_memo: dict, keep_arcs: bool) -> _Node:
+        """Fill the coverage stacks, dropping at insertion every arc that
+        its stack's pruning would (see the module docstring); returns the
+        final lattice node.
 
         lm_memo maps (LM state, target phrase) to (log-probability sum,
         next state) for this sentence; it is filled here and by the
-        caller's replay of the derivations it returns. With one_path the
-        caller reads only the best path, so no node keeps its arcs and no
-        arc is built that its stack's pruning would drop (see the module
-        docstring); the best path is the same either way.
+        caller's replay of the derivations it returns. With keep_arcs
+        each node keeps every arc that passed its stack's floor, for the
+        paths after the first; without it a node keeps its best arc only.
         """
         n = len(tokens)
         options = build_options(
@@ -509,7 +514,7 @@ class BeamDecoder:
         # the recombination key (see the module docstring) and, when the
         # LM and reordering terms cannot be positive, the bound on its arc
         # score at each jump distance.
-        bound_before_lm = one_path and w_lm >= 0.0 and self.lm.max_logprob <= 0.0
+        bound_before_lm = w_lm >= 0.0 and self.lm.max_logprob <= 0.0
         if bound_before_lm and reo_on:
             bound_before_lm = w_reo >= 0.0 and all(
                 v <= 0.0 for opt in options for v in opt.fwd_reo + opt.bwd_reo
@@ -539,9 +544,8 @@ class BeamDecoder:
         threshold_log = (
             math.log(self.beam_threshold) if self.beam_threshold > 0.0 else NEG_INF
         )
-        # One-path floors, one per stack (see the module docstring). The
-        # final stack is never pruned, so its floor stays -inf, as every
-        # floor does without one_path.
+        # Insertion floors, one per stack (see the module docstring). The
+        # final stack is never pruned, so its floor stays -inf.
         floors = [NEG_INF] * (n + 1)
         created: list[list[float]] = [[] for _ in range(n + 1)]
 
@@ -616,17 +620,17 @@ class BeamDecoder:
                             )
                             child_stack[key] = child
                         arc = _Arc(node, opt, arc_score)
-                        if not one_path:
+                        if keep_arcs:
                             child.arcs.append(arc)
                         child.offer(arc)
-                        if one_path and child_covered < n:
+                        if child_covered < n:
                             raise_floor(child_covered, priority, is_new)
 
         final = _Node((1 << n) - 1, (), (0, n), None, 0.0)
         for node in stacks[n].values():
             features = self._completion_features(node.lm_state, node.span[1], node.bwd_reo, n)
             arc = _Arc(node, None, weights.dot(features))
-            if not one_path:
+            if keep_arcs:
                 final.arcs.append(arc)
             final.offer(arc)
         if final.best_arc is None:

@@ -203,10 +203,15 @@ class PhraseBasedTranslator(BaseEstimator):
         return config_path
 
     @classmethod
+    @paused_gc()
     def load(cls, config: RunConfig | str) -> "PhraseBasedTranslator":
         """Rebuild a decoder-ready translator from a run config (path or
         parsed). Training-only attributes stay unset. Logs at INFO its
-        wall time and each table's line and source-phrase counts."""
+        wall time and each table's line and source-phrase counts.
+
+        Reading keeps the LM and the tables' lines alive at once and makes
+        no reference cycles, so it runs with the collector paused, as fit
+        does (base.paused_gc)."""
         start = time.perf_counter()
         if isinstance(config, str):
             config = read_config(config)

@@ -12,7 +12,14 @@ from collections import Counter, defaultdict
 from phraseforge.align import AlignmentMatrix
 from phraseforge.base import ParseError
 from phraseforge.corpus import BOS, EOS, NULL_WORD, UNK
-from phraseforge.decoder import OOV_LOGPROB, FeatureWeights, TranslationOption, build_options
+from phraseforge.decoder import (
+    OOV_LOGPROB,
+    FeatureWeights,
+    TranslationOption,
+    _step_features,
+    build_options,
+    future_cost_table,
+)
 from phraseforge.lm import NGramLanguageModel
 from phraseforge.phrases import (
     DISC,
@@ -398,6 +405,94 @@ def capped_build_options(tokens, phrase_table, reordering_table=None, options_pe
                 i, i + 1, (word,), (word,), (OOV_LOGPROB,) * 4, reo, reo, oov=True))
     options.sort(key=lambda o: (o.start, o.end, o.tgt))
     return options
+
+
+def expansion_pruned_decode(decoder, tokens):
+    """The best derivation of a plain stack search with decoder's model
+    and limits that prunes a stack only when it expands it: no insertion
+    floors, no bound before the LM lookup and no LM memo. It recombines
+    on the package's key and breaks ties as the package does (the smaller
+    target, then the first offered). Returns (score, target, derivation
+    steps), or None when no complete derivation survives."""
+    n = len(tokens)
+    lm, weights = decoder.lm, decoder.weights
+    reo_on = decoder.reordering_table is not None
+    limit = decoder.distortion_limit
+    options = build_options(
+        tokens, decoder.phrase_table, decoder.reordering_table, decoder.options_per_span
+    )
+    masks = [opt.mask for opt in options]
+    span_future = future_cost_table(options, n, weights, lm)
+
+    def priority(hyp):
+        total, i = 0.0, 0
+        while i < n:
+            j = i
+            while j < n and not hyp["coverage"] >> j & 1:
+                j += 1
+            if j > i:
+                total += span_future[(i, j)]
+            i = j + 1
+        return hyp["score"] + total
+
+    def offer(stack, key, hyp):
+        old = stack.get(key)
+        if old is None or hyp["score"] > old["score"] or (
+            hyp["score"] == old["score"] and hyp["target"] < old["target"]
+        ):
+            stack[key] = hyp
+
+    keep = lm.order - 1
+    start = {"score": 0.0, "target": (), "steps": (), "coverage": 0,
+             "state": (BOS,) if keep else (), "span": (0, 0), "bwd": None}
+    stacks = [{None: start}] + [{} for _ in range(n)]
+    for covered in range(n):
+        ranked = sorted(stacks[covered].values(), key=lambda h: (-priority(h), h["target"]))
+        if decoder.beam_size is not None:
+            ranked = ranked[:decoder.beam_size]
+        if decoder.beam_threshold > 0.0 and ranked:
+            cutoff = priority(ranked[0]) + math.log(decoder.beam_threshold)
+            ranked = [h for h in ranked if priority(h) >= cutoff]
+        for hyp in ranked:
+            prev_start, prev_end = hyp["span"]
+            for opt, mask in zip(options, masks):
+                if limit is not None and abs(opt.start - prev_end) > limit:
+                    continue
+                if hyp["coverage"] & mask:
+                    continue
+                lm_sum, state = 0.0, hyp["state"]
+                for word in opt.tgt:
+                    lm_sum += lm.logprob(word, state)
+                    if keep:
+                        state = (state + (word,))[-keep:]
+                reo = 0.0
+                if reo_on:
+                    orient = (MONO if opt.start == prev_end
+                              else SWAP if opt.end == prev_start else DISC)
+                    reo = opt.fwd_reo[orient]
+                    if hyp["bwd"] is not None:
+                        reo += hyp["bwd"][orient]
+                features = _step_features(opt, lm_sum, reo, -float(abs(opt.start - prev_end)))
+                coverage = hyp["coverage"] | mask
+                recombine = (opt.start, opt.end, opt.bwd_reo) if reo_on else opt.end
+                offer(stacks[coverage.bit_count()], (coverage, state, recombine), {
+                    "score": hyp["score"] + weights.dot(features),
+                    "target": hyp["target"] + opt.tgt,
+                    "steps": hyp["steps"] + ((opt.start, opt.end, opt.tgt),),
+                    "coverage": coverage, "state": state, "span": (opt.start, opt.end),
+                    "bwd": opt.bwd_reo if reo_on else None,
+                })
+    final = {}
+    for hyp in stacks[n].values():
+        reo = 0.0
+        if hyp["bwd"] is not None:
+            reo = hyp["bwd"][MONO if hyp["span"][1] == n else DISC]
+        features = (lm.logprob(EOS, hyp["state"]), 0.0, 0.0, 0.0, 0.0, reo, 0.0, 0.0, 0.0)
+        offer(final, None, dict(hyp, score=hyp["score"] + weights.dot(features)))
+    if not final:
+        return None
+    best = final[None]
+    return best["score"], best["target"], best["steps"]
 
 
 def score_path(opts, n, lm, weights, reordering):

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from helpers import all_derivations, capped_build_options, random_decoder_instance, score_path
+from helpers import (
+    all_derivations,
+    capped_build_options,
+    expansion_pruned_decode,
+    random_decoder_instance,
+    score_path,
+)
 from phraseforge.base import CorpusError
 from phraseforge.corpus import BOS
 from phraseforge.decoder import (
@@ -369,7 +375,7 @@ def test_nbest_order_does_not_depend_on_how_many_are_asked_for():
 # name -> (search settings, longest sentence tried). An unbounded beam
 # keeps every hypothesis within the threshold of the best, which took up
 # to seconds per sentence of 11-14 words.
-ONE_PATH_SETTINGS = {
+PRUNING_SETTINGS = {
     "default": ({}, 14),
     "beam 10, limit 3": ({"beam_size": 10, "distortion_limit": 3}, 14),
     "beam 3, no threshold": ({"beam_size": 3, "beam_threshold": 0.0}, 14),
@@ -401,28 +407,30 @@ ngram 2=3
 """
 
 
-def one_path_matches_the_lattice(decoder, tokens):
-    """decode() searches without a lattice, nbest(tokens, 2) with one.
-    Their first derivation must be the same, bit for bit, and either both
-    raise DecodeError or neither does; returns whether they decoded."""
-    try:
-        lattice = decoder.nbest(tokens, 2)[0]
-    except DecodeError:
+def matches_the_expansion_pruned_search(decoder, tokens):
+    """decode() and the first entry of an n-best list must equal, bit for
+    bit, the best derivation of the reference search that prunes only at
+    expansion, and all three fail together; returns whether they decoded."""
+    expected = expansion_pruned_decode(decoder, tokens)
+    if expected is None:
         with pytest.raises(DecodeError):
             decoder.decode(tokens)
+        with pytest.raises(DecodeError):
+            decoder.nbest(tokens, 5)
         return False
-    assert decoder.decode(tokens) == lattice
+    for result in (decoder.decode(tokens), decoder.nbest(tokens, 5)[0]):
+        assert (result.score, result.tokens, result.derivation) == expected
     return True
 
 
-def test_one_path_search_finds_the_lattice_search_best_derivation():
-    """The one-path search drops arcs below its stacks' floors, and when
-    the LM and reordering terms cannot be positive it drops them before
-    the LM lookup. Half the instances get a non-negative LM and
-    reordering weight and half a negative one, so the LM bound is both
-    used and not."""
+def test_insertion_pruning_keeps_the_expansion_pruned_best_derivation():
+    """Every search drops arcs below its stacks' floors, and when the LM
+    and reordering terms cannot be positive it drops them before the LM
+    lookup. Half the instances get a non-negative LM and reordering
+    weight and half a negative one, so the LM bound is both used and
+    not."""
     rng = random.Random(89)
-    decoded = dict.fromkeys(ONE_PATH_SETTINGS, 0)
+    decoded = dict.fromkeys(PRUNING_SETTINGS, 0)
     bounded = {True: 0, False: 0}
     for trial in range(30):
         tokens, table, reordering, lm, weights, _ = random_decoder_instance(
@@ -434,15 +442,15 @@ def test_one_path_search_finds_the_lattice_search_best_derivation():
             weights, lm=sign * abs(weights.lm), reordering=sign * abs(weights.reordering)
         )
         bounded[sign > 0 and lm.max_logprob <= 0.0] += 1
-        for name, (kwargs, longest) in ONE_PATH_SETTINGS.items():
+        for name, (kwargs, longest) in PRUNING_SETTINGS.items():
             if len(tokens) <= longest:
                 decoder = BeamDecoder(table, lm, reordering, weights, **kwargs)
-                decoded[name] += one_path_matches_the_lattice(decoder, tokens)
+                decoded[name] += matches_the_expansion_pruned_search(decoder, tokens)
     assert all(decoded.values()), decoded
     assert all(bounded.values()), bounded
 
 
-def test_one_path_search_under_tight_beams_and_an_lm_above_zero(tmp_path):
+def test_insertion_pruning_under_tight_beams_and_an_lm_above_zero(tmp_path):
     """Short sentences at histogram limits of 1-3 and at thresholds alone,
     where a floor one node too high or a discard in the final stack would
     change the best derivation. Every third instance decodes with an LM
@@ -470,8 +478,40 @@ def test_one_path_search_under_tight_beams_and_an_lm_above_zero(tmp_path):
             )
         for kwargs in settings:
             decoder = BeamDecoder(table, lm, reordering, weights, **kwargs)
-            decoded += one_path_matches_the_lattice(decoder, tokens)
+            decoded += matches_the_expansion_pruned_search(decoder, tokens)
     assert decoded
+
+
+def test_an_nbest_search_makes_the_lm_lookups_of_a_1best_search():
+    """The size of an n-best request only decides whether nodes keep
+    their arcs, so nbest(tokens, 10) runs the search decode() runs and
+    extends as many LM states, with the bound before the LM lookup on
+    (LM and reordering weights >= 0) and off (both negative)."""
+    rng = random.Random(97)
+    checked = {True: 0, False: 0}
+    for trial in range(20):
+        tokens, table, reordering, lm, weights, _ = random_decoder_instance(
+            rng, with_reordering=trial % 2 == 0, min_sentence=8, max_sentence=14,
+            max_entries=120,
+        )
+        sign = 1.0 if trial % 4 < 2 else -1.0
+        weights = dataclasses.replace(
+            weights, lm=sign * abs(weights.lm), reordering=sign * abs(weights.reordering)
+        )
+        calls = []
+        extend = lm.extend
+        lm.extend = lambda state, words: calls.append(state) or extend(state, words)
+        decoder = BeamDecoder(table, lm, reordering, weights)
+        try:
+            decoder.decode(tokens)
+        except DecodeError:
+            continue
+        one_best = len(calls)
+        assert one_best > 0
+        decoder.nbest(tokens, 10)
+        assert len(calls) - one_best == one_best, (trial, one_best)
+        checked[sign > 0 and lm.max_logprob <= 0.0] += 1
+    assert all(checked.values()), checked
 
 
 def test_settings_changed_on_a_live_decoder_apply_to_the_next_search():

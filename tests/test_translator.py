@@ -1,5 +1,6 @@
 """The end-to-end estimator: train, translate, save, load."""
 
+import copy
 import gc
 import logging
 import math
@@ -10,10 +11,11 @@ import shutil
 
 import pytest
 
-from phraseforge.base import ConfigError, DataError, NotFittedError
+from phraseforge.base import ConfigError, DataError, NotFittedError, ParseError
 from phraseforge.config import PARAM_KEYS, RunConfig, read_config, validate_config
 from phraseforge.corpus import ParallelCorpus, SentencePair
-from phraseforge.decoder import DecodeError, DecodeResult, FeatureWeights
+from phraseforge.decoder import BeamDecoder, DecodeResult, FeatureWeights
+from phraseforge import translator
 from phraseforge.translator import PhraseBasedTranslator
 from phraseforge.tuning import MertTuner
 
@@ -288,22 +290,59 @@ def test_fit_leaves_the_garbage_collector_as_it_found_it():
         with pytest.raises(DataError, match="word-alignment"):
             PhraseBasedTranslator().fit([(("a",), ("b",)), ((), ("c",))])
         assert gc.isenabled()
-        # With one hypothesis per stack, the search covers s0 first; the
-        # unknown word before it is then out of the distortion limit.
-        stranded = PhraseBasedTranslator(beam_size=1, distortion_limit=1).fit(corpus)
+        # A search whose first LM lookup raises.
+        failing_lm = copy.copy(model.lm_)
+
+        def failing_extend(state, words):
+            raise RuntimeError("LM lookup failed")
+
+        failing_lm.extend = failing_extend
+        failing = BeamDecoder(model.phrase_table_, failing_lm)
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
             model.decoder_.decode(("s0", "s1", "s2"))
             assert gc.isenabled() == enabled
             assert len(model.decoder_.nbest(("s0", "s1", "s2"), 5)) == 5
             assert gc.isenabled() == enabled
-            with pytest.raises(DecodeError):
-                stranded.decoder_.decode(("zz", "s0"))
+            with pytest.raises(RuntimeError, match="LM lookup failed"):
+                failing.decode(("s0", "s1"))
             assert gc.isenabled() == enabled
         PhraseBasedTranslator().fit(corpus)
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+def test_load_leaves_the_garbage_collector_as_it_found_it(tmp_path, monkeypatch):
+    """load reads the model with the collector paused and restores it,
+    whether it was on or off and whether the read raised."""
+    config = PhraseBasedTranslator().fit(mapped_corpus(random.Random(5))).save(
+        str(tmp_path / "model")
+    )
+    collecting_during_reads = []
+    read_arpa = translator.read_arpa
+
+    def watched_read_arpa(path):
+        collecting_during_reads.append(gc.isenabled())
+        return read_arpa(path)
+
+    monkeypatch.setattr(translator, "read_arpa", watched_read_arpa)
+    broken = tmp_path / "broken"
+    shutil.copytree(tmp_path / "model", broken)
+    with open(broken / "phrase-table.txt", "a", encoding="utf-8") as fh:
+        fh.write("s0 ||| t0 ||| 2 1 1 1\n")
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert PhraseBasedTranslator.load(config).translate(("s0",))
+            assert gc.isenabled() == enabled
+            with pytest.raises(ParseError, match="outside"):
+                PhraseBasedTranslator.load(str(broken / "run.ini"))
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert collecting_during_reads == [False] * 4
 
 
 def test_fit_hands_its_objects_to_the_oldest_generation():
